@@ -188,6 +188,16 @@ class BivarPoly:
         return out
 
 
+def affine_substitution_coeffs(A: Poly, alpha, beta) -> list:
+    """Coefficients of A(u*x + alpha*u + beta) by power of x, as Polys in u."""
+    field = A.field
+    inner = BivarPoly.make(field, [[beta, 0], [alpha, 1]])  # y plays u
+    acc = BivarPoly(field, ())
+    for c in reversed(A.coeffs):
+        acc = acc * inner + BivarPoly.make(field, [[c]])
+    return list(acc.transpose().rows)
+
+
 def _sample_points(field, needed, bad_test):
     """First `needed` integer sample values passing bad_test."""
     pts = []
@@ -233,9 +243,10 @@ def resultant_x(G: BivarPoly, H: BivarPoly) -> Poly:
 # -- gcd and squarefree structure in the y direction ------------------------
 
 def _primitive_y(G: BivarPoly) -> tuple:
+    """(content in x, primitive part): splits off vertical-line factors."""
     c = G.content_y()
-    if c.is_zero():
-        return Poly(G.field, ()), G
+    if c.degree < 1:
+        return c, G
     prim = BivarPoly.make(G.field, [exact_div(r, c) if not r.is_zero()
                                     else r for r in G.rows])
     return c, prim

@@ -9,12 +9,14 @@ classification always completes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
+from .bivar import affine_substitution_coeffs
 from .errors import RittKitError
-from .field import QQ, as_rational, nth_roots
-from .poly import LinearPoly, Poly, chebyshev, compose, conjugate
-from .roots import in_field_roots, is_square_rational
+from .field import nth_roots
+from .poly import (LinearPoly, Poly, chebyshev, compose, conjugate, poly_gcd,
+                   power_shape)
+from .roots import in_field_roots
 
 
 @dataclass(frozen=True)
@@ -42,65 +44,41 @@ class PowerNormalForm:
         return lhs == rhs
 
 
-def _is_cyclic_shape(f: Poly) -> tuple:
-    """(cyclic?, shift t): f equivalent to x^delta iff f = lc*(x+t)^delta + e."""
-    delta = f.degree
-    t = f.coeff(delta - 1) / (delta * f.leading())
-    model = (Poly.make(f.field, [t, 1]) ** delta).scale(f.leading())
-    diff = f - model
-    return diff.is_constant(), t
-
-
-def _in_field_sqrt(w, field):
-    roots = nth_roots(w, 2, field)
-    return roots[0] if roots else None
-
-
 def _dihedral_data(f: Poly):
     """Closure-level test for f = L2 o T_delta o L1.
 
-    Returns (holds, t, w, ratio) with w = u^2 for the inner scale u,
-    or (False, None, None, None).
+    Returns (t, g, w) with g = f(x - t) free of x^(delta-1); w = u^2 for
+    the inner scale u when the coefficient test holds, None otherwise.
     """
     delta = f.degree
     fieldK = f.field
     t = f.coeff(delta - 1) / (delta * f.leading())
     g = compose(f, Poly.make(fieldK, [-t, 1]))
-    T = chebyshev(delta, fieldK)
     if not g.coeff(delta - 2):
-        return False, None, None, None
+        return t, g, None
+    T = chebyshev(delta, fieldK)
     w = fieldK.coerce(-delta) * g.leading() / g.coeff(delta - 2)
+    # need g_i / g_delta = c_i * u^(i - delta); the exponent is even
     for i in range(1, delta):
-        ci = T.coeff(i)
-        gi = g.coeff(i)
+        ci, gi = T.coeff(i), g.coeff(i)
         if not ci:
             if gi:
-                return False, None, None, None
-            continue
-        # need g_i / g_delta = c_i * u^(i - delta); exponent is even
-        expo = (i - delta) // 2
-        target = ci * _power(w, expo, fieldK)
-        if gi / g.leading() != target:
-            return False, None, None, None
-    return True, t, w, g
+                return t, g, None
+        elif gi / g.leading() != ci * w ** ((i - delta) // 2):
+            return t, g, None
+    return t, g, w
 
 
-def _power(w, e: int, fieldK):
-    if e >= 0:
-        out = fieldK.one()
-        for _ in range(e):
-            out = out * w
-        return out
-    return fieldK.one() / _power(w, -e, fieldK)
+def _conj_power_witness(f: Poly, shape):
+    """(closure_conjugate, in-field ell with ell o f o ell^{-1} = x^delta).
 
-
-def _conj_power_witness(f: Poly):
-    """(closure_conjugate, in-field ell with ell o f o ell^{-1} = x^delta)."""
-    delta = f.degree
-    beta = f.coeff(delta - 1) / (delta * f.leading())
-    model = (Poly.make(f.field, [beta, 1]) ** delta).scale(f.leading()) - beta
-    if f != model:
+    shape is power_shape(f); f is conjugate to x^delta over the closure
+    iff f = lc*(x + beta)^delta - beta.
+    """
+    if shape is None or shape[1] != -shape[0]:
         return False, None
+    beta = shape[0]
+    delta = f.degree
     for a in nth_roots(f.leading(), delta - 1, f.field):
         ell = LinearPoly.make(f.field, a, a * beta)
         if conjugate(ell, f) == Poly.monomial(f.field, delta):
@@ -108,13 +86,15 @@ def _conj_power_witness(f: Poly):
     return True, None
 
 
-def _conj_cheb_witness(f: Poly):
-    """(closure_conjugate, sign, in-field ell with ell o f o ell^{-1} = sign*T)."""
+def _conj_cheb_witness(f: Poly, dihedral):
+    """(closure_conjugate, sign, in-field ell with ell o f o ell^{-1} = sign*T).
+
+    dihedral is _dihedral_data(f).
+    """
     delta = f.degree
     fieldK = f.field
     T = chebyshev(delta, fieldK)
-    t = f.coeff(delta - 1) / (delta * f.leading())
-    g = compose(f, Poly.make(fieldK, [-t, 1]))
+    t, g, w = dihedral
     if delta == 2:
         # f = eps*a*(x+t)^2 - (2*eps + a*t)/a; solve a for each sign
         B = g.coeff(0)
@@ -127,33 +107,23 @@ def _conj_cheb_witness(f: Poly):
             if conjugate(ell, f) == T.scale(eps):
                 return True, eps, ell
         return False, None, None
-    if not g.coeff(delta - 2):
+    if w is None:
         return False, None, None
-    w = fieldK.coerce(-delta) * g.leading() / g.coeff(delta - 2)
-    for i in range(1, delta):
-        ci, gi = T.coeff(i), g.coeff(i)
-        if not ci:
-            if gi:
-                return False, None, None
-        elif gi / g.leading() != ci * _power(w, (i - delta) // 2, fieldK):
-            return False, None, None
     if delta % 2:
         # sign forced by the leading equation g_delta = eps * a^(delta-1)
-        eps = g.leading() / _power(w, (delta - 1) // 2, fieldK)
+        eps = g.leading() / w ** ((delta - 1) // 2)
         if eps != fieldK.one() and eps != -fieldK.one():
             return False, None, None
         if g.coeff(0) != -t:
             return False, None, None
-        r = _in_field_sqrt(w, fieldK)
-        if r is not None:
-            for a in (r, -r):
-                ell = LinearPoly.make(fieldK, a, a * t)
-                if conjugate(ell, f) == T.scale(eps):
-                    return True, eps, ell
+        for a in nth_roots(w, 2, fieldK):
+            ell = LinearPoly.make(fieldK, a, a * t)
+            if conjugate(ell, f) == T.scale(eps):
+                return True, eps, ell
         return True, eps, None
     # delta even: a is forced in-field for each sign, so closure = in-field
     for eps in (fieldK.one(), -fieldK.one()):
-        a = eps * g.leading() / _power(w, (delta - 2) // 2, fieldK)
+        a = eps * g.leading() / w ** ((delta - 2) // 2)
         if a * a != w:
             continue
         ell = LinearPoly.make(fieldK, a, a * t)
@@ -165,22 +135,18 @@ def _conj_cheb_witness(f: Poly):
 def classify(f: Poly) -> ShapeReport:
     if f.degree < 2:
         raise RittKitError("classification needs degree >= 2")
-    delta = f.degree
-    cyclic, _ = _is_cyclic_shape(f)
-    dihedral = False
-    if delta >= 3:
-        holds, _, _, _ = _dihedral_data(f)
-        dihedral = holds
-    pw_closure, pw_ell = _conj_power_witness(f)
-    ch_closure, ch_sign, ch_ell = _conj_cheb_witness(f)
+    shape = power_shape(f)
+    dihedral = _dihedral_data(f)
+    pw_closure, pw_ell = _conj_power_witness(f, shape)
+    ch_closure, ch_sign, ch_ell = _conj_cheb_witness(f, dihedral)
     hints = []
     if pw_closure and pw_ell is None:
         hints.append("conjugacy to the power map needs a field extension")
     if ch_closure and ch_ell is None:
         hints.append("conjugacy to a Chebyshev form needs a field extension")
     return ShapeReport(
-        is_cyclic=cyclic,
-        is_dihedral=dihedral,
+        is_cyclic=shape is not None,
+        is_dihedral=f.degree >= 3 and dihedral[2] is not None,
         conj_to_power=pw_ell,
         conj_to_pm_chebyshev=(ch_sign, ch_ell) if ch_ell is not None else None,
         disintegrated=not (pw_closure or ch_closure),
@@ -215,22 +181,13 @@ def equivalence_witness(f: Poly, g: Poly):
             return L1, L2
         return None
 
-    # coefficient equations E_i(u) = 0 for i = 1..delta-2, assembled with
-    # u as a second variable
-    from .bivar import BivarPoly
-    x_plus = BivarPoly.make(fieldK, [[beta, 0], [alpha, 1]])  # u*x + v(u)
-    acc = BivarPoly(fieldK, ())
-    for c in reversed(f.coeffs):
-        acc = acc * x_plus + BivarPoly.make(fieldK, [[c]])
-    udeg = acc.deg_y
+    # coefficient equations E_i(u) = 0 for i = 1..delta-2 in f(u*x + v(u))
+    coeffs = affine_substitution_coeffs(f, alpha, beta)
     eqs = []
     for i in range(1, delta - 1):
-        coeff_poly = Poly.make(fieldK,
-                               [acc.coeff(i, j) for j in range(udeg + 1)])
         # g_delta * coeff_i(f(ux+v)) = g_i * f_delta * u^delta
         rhs = Poly.monomial(fieldK, delta).scale(g.coeff(i) * f.leading())
-        eqs.append(coeff_poly.scale(g.leading()) - rhs)
-    from .poly import poly_gcd
+        eqs.append(coeffs[i].scale(g.leading()) - rhs)
     G = Poly(fieldK, ())
     for e in eqs:
         G = poly_gcd(G, e)

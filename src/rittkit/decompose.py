@@ -8,11 +8,13 @@ splitting of x^s P(x)^n compositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import (FieldExtensionRequiredError, HypothesisViolationError,
                      ResourceCapError, RittKitError)
 from .field import nth_roots
-from .poly import LinearPoly, Poly, compose, poly_nth_root
+from .poly import (LinearPoly, Poly, _rev_compose_trunc, _rev_trunc, compose,
+                   poly_nth_root, solve_top_down)
 
 DECOMP_DEGREE_CAP = 64
 
@@ -32,15 +34,12 @@ def right_factor_solve(F: Poly, g: Poly) -> list:
         raise FieldExtensionRequiredError(
             "leading coefficient equation has no in-field root",
             equation=f"t^{m} = {lead_eq}")
+    top = _rev_trunc(F, e)
     out = []
     for a in leads:
-        pivot = m * g.leading() * a ** (m - 1)
-        h = [field.zero()] * e + [a]
-        for j in range(1, e + 1):
-            cur = compose(g, Poly.make(field, h))
-            delta = F.coeff(F.degree - j) - cur.coeff(F.degree - j)
-            h[e - j] = h[e - j] + delta / pivot
-        cand = Poly.make(field, h)
+        cand = solve_top_down(
+            field, a, e, e, m * g.leading() * a ** (m - 1),
+            lambda h, j: top[j] - _rev_compose_trunc(g, h, j)[j])
         if compose(g, cand) == F and cand not in out:
             out.append(cand)
     return out
@@ -77,12 +76,10 @@ def normalized_right_factor(F: Poly, e: int) -> tuple | None:
         return None
     field = F.field
     m = F.degree // e
-    h = [field.zero()] * e + [field.one()]
-    for j in range(1, e):
-        cur = Poly.make(field, h) ** m
-        delta = F.coeff(F.degree - j) / F.leading() - cur.coeff(F.degree - j)
-        h[e - j] = delta / m
-    hp = Poly.make(field, h)
+    top = [c / F.leading() for c in _rev_trunc(F, e - 1)]
+    xm = Poly.monomial(field, m)
+    hp = solve_top_down(field, 1, e, e - 1, m,
+                        lambda h, j: top[j] - _rev_compose_trunc(xm, h, j)[j])
     g = left_factor_solve(F, hp)
     if g is None:
         return None
@@ -169,12 +166,6 @@ class EngstromCertificate:
         return all(checks)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def engstrom_refine(a: Poly, b: Poly, c: Poly, d: Poly) -> EngstromCertificate:
     """Common inner structure of a o b = c o d.
 
@@ -187,8 +178,8 @@ def engstrom_refine(a: Poly, b: Poly, c: Poly, d: Poly) -> EngstromCertificate:
     if compose(a, b) != compose(c, d):
         raise HypothesisViolationError("a o b differs from c o d")
     field = a.field
-    D = _gcd(a.degree, c.degree)
-    E = _gcd(b.degree, d.degree)
+    D = gcd(a.degree, c.degree)
+    E = gcd(b.degree, d.degree)
 
     # Left side: a common left factor g of degree D.
     if D == a.degree:
@@ -301,16 +292,12 @@ def decompose_power_form(A: Poly, B: Poly, s: int, n: int) -> PowerFormSplit:
     if Q.degree % n:
         raise HypothesisViolationError(
             "inner factor does not fit the x^k P2(x)^n shape")
-    if Q.degree == 0:
-        alpha = Q.coeffs[0] ** (n - 1)
-        P2 = Poly.constant(field, Q.coeffs[0])
-    else:
-        R = poly_nth_root(Q.monic(), n, 1)
-        if R is None:
-            raise HypothesisViolationError(
-                "inner factor does not fit the x^k P2(x)^n shape")
-        alpha = Q.leading() ** (n - 1)
-        P2 = R.scale(Q.leading())
+    R = poly_nth_root(Q.monic(), n, 1)
+    if R is None:
+        raise HypothesisViolationError(
+            "inner factor does not fit the x^k P2(x)^n shape")
+    alpha = Q.leading() ** (n - 1)
+    P2 = R.scale(Q.leading())
     ell = LinearPoly.make(field, alpha, -alpha * B.constant_term())
     W = compose(ell.to_poly(), B)
     if W != Poly.monomial(field, k) * P2 ** n:
@@ -323,12 +310,10 @@ def decompose_power_form(A: Poly, B: Poly, s: int, n: int) -> PowerFormSplit:
     j = D.multiplicity_at_zero()
     Q1 = Poly(field, D.coeffs[j:])
     P1 = None
-    if Q1.degree == 0 or Q1.degree % n == 0:
-        for lead in nth_roots(Q1.leading(), n, field):
-            P1 = poly_nth_root(Q1, n, lead) if Q1.degree else \
-                (Poly.constant(field, lead) if lead ** n == Q1.coeffs[0] else None)
-            if P1 is not None:
-                break
+    for lead in nth_roots(Q1.leading(), n, field):
+        P1 = poly_nth_root(Q1, n, lead)
+        if P1 is not None:
+            break
     if P1 is None:
         raise FieldExtensionRequiredError(
             "outer P1 requires an n-th root outside the field",
@@ -337,5 +322,5 @@ def decompose_power_form(A: Poly, B: Poly, s: int, n: int) -> PowerFormSplit:
     if compose(outer, ell.to_poly()) != A:
         raise RittKitError("outer normal form verification failed")
     return PowerFormSplit(j=j, k=k, P1=P1, P2=P2, ell=ell,
-                          gcd_j_ok=_gcd(j, n) == 1,
-                          gcd_k_ok=_gcd(k, n) == 1)
+                          gcd_j_ok=gcd(j, n) == 1,
+                          gcd_k_ok=gcd(k, n) == 1)

@@ -107,6 +107,8 @@ def _reduce_poly(f: Poly, p: int, what: str) -> list:
 def return_set_modp(F1: Poly, F2: Poly, alpha: tuple, C: BivarCurve,
                     p: int, N: int) -> tuple:
     """{n <= N : the orbit lands on C mod p}; a superset of the exact set."""
+    if N < 0:
+        raise RittKitError("N must be >= 0")
     if not _is_odd_prime(p):
         raise BadReductionError(f"{p} is not an odd prime")
     f1 = _reduce_poly(F1, p, "F1")

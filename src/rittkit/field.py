@@ -7,7 +7,6 @@ operation is exact; nothing here ever rounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -295,10 +294,6 @@ def _qpoly_sub(a, b):
 # Scalar utilities shared across modules.
 # ---------------------------------------------------------------------------
 
-def scalar_is_zero(v) -> bool:
-    return not v
-
-
 def as_rational(v):
     """Return the Fraction a scalar embeds from Q, or None."""
     if isinstance(v, Fraction):
@@ -438,7 +433,3 @@ def scalar_abs(v) -> Fraction:
     if r is None:
         raise RittKitError("absolute value needs a rational scalar")
     return abs(r)
-
-
-def gcd_int(a: int, b: int) -> int:
-    return math.gcd(a, b)

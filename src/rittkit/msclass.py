@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bivar import (BivarCurve, BivarPoly, bivar_squarefree,
+from .bivar import (BivarCurve, BivarPoly, _primitive_y, bivar_squarefree,
                     lagrange_interpolate, resultant_x, resultant_y)
 from .errors import (CollapsedImageError, HypothesisViolationError,
                      FieldExtensionRequiredError, ResourceCapError,
                      RittKitError)
 from .field import scalar_sort_key
-from .poly import Poly, compose, exact_div, iterate, squarefree_part
+from .poly import Poly, compose, iterate, squarefree_part
 
 IMAGE_DEGREE_CAP = 512
 
@@ -28,16 +28,6 @@ def _univar_image(h: Poly, f: Poly) -> Poly:
     rows = [Poly.make(field, [-f.coeff(0), 1])]
     rows += [Poly.constant(field, -f.coeff(j)) for j in range(1, f.degree + 1)]
     return resultant_y(A, BivarPoly.make(field, rows))
-
-
-def _strip_x_content(G: BivarPoly) -> tuple:
-    """(content in x, primitive part): splits off vertical-line factors."""
-    c = G.content_y()
-    if c.degree < 1:
-        return Poly.constant(G.field, 1), G
-    prim = BivarPoly.make(G.field, [exact_div(r, c) if not r.is_zero() else r
-                                    for r in G.rows])
-    return c, prim
 
 
 def _generic_image(G: BivarPoly, f: Poly, g: Poly) -> BivarPoly:
@@ -75,8 +65,8 @@ def _generic_image(G: BivarPoly, f: Poly, g: Poly) -> BivarPoly:
         pts = [(u0, S.coeff(k)) for u0, S in slices]
         rows.append(lagrange_interpolate(field, pts))
     H = BivarPoly.make(field, rows)
-    _, H = _strip_x_content(H)
-    _, Ht = _strip_x_content(H.transpose())
+    _, H = _primitive_y(H)
+    _, Ht = _primitive_y(H.transpose())
     return Ht.transpose()
 
 
@@ -91,11 +81,11 @@ def curve_image(C: BivarCurve, f: Poly, g: Poly) -> BivarCurve:
     field = C.field
     G = C.poly
     parts = []
-    cx, G = _strip_x_content(G)
+    cx, G = _primitive_y(G)
     if cx.degree >= 1:
         lines = squarefree_part(_univar_image(cx, f))
         parts.append(BivarPoly.from_univar(lines, "x"))
-    cy, Gt = _strip_x_content(G.transpose())
+    cy, Gt = _primitive_y(G.transpose())
     G = Gt.transpose()
     if cy.degree >= 1:
         lines = squarefree_part(_univar_image(cy, g))

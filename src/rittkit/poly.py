@@ -312,20 +312,96 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     return q
 
 
+def power_shape(f: Poly) -> tuple | None:
+    """(t, e) with f = lc(f)*(x + t)^deg f + e, or None (deg f >= 1)."""
+    d = f.degree
+    t = f.coeff(d - 1) / (d * f.leading())
+    diff = f - (Poly.make(f.field, [t, 1]) ** d).scale(f.leading())
+    return (t, diff.constant_term()) if diff.is_constant() else None
+
+
+# -- truncated reversed series: the top coefficients of powers and compositions
+
+def _series_mul(a: list, b: list, m: int, field) -> list:
+    out = [field.zero()] * (m + 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for k in range(min(len(b), m + 1 - i)):
+                if b[k]:
+                    out[i + k] = out[i + k] + ai * b[k]
+    return out
+
+
+def _series_pow(base: list, e: int, m: int, field) -> list:
+    out = [field.one()] + [field.zero()] * m
+    cur = list(base)
+    while e:
+        if e & 1:
+            out = _series_mul(out, cur, m, field)
+        e >>= 1
+        if e:
+            cur = _series_mul(cur, cur, m, field)
+    return out
+
+
+def _rev_trunc(q: Poly, m: int) -> list:
+    d = q.degree
+    return [q.coeff(d - i) if d - i >= 0 else q.field.zero()
+            for i in range(m + 1)]
+
+
+def _rev_compose_trunc(A: Poly, B: Poly, m: int) -> list:
+    """Top m+1 coefficients of A o B, highest degree first.
+
+    Uses rev(A o B) = sum_k A_k rev(B)^k x^((deg A - k) deg B), so only
+    the few k near deg A ever enter the truncation window.
+    """
+    field = A.field
+    dA, dB = A.degree, B.degree
+    revB = _rev_trunc(B, m)
+    kmin = max(0, dA - m // dB)
+    cur = _series_pow(revB, kmin, m, field)
+    out = [field.zero()] * (m + 1)
+    for k in range(kmin, dA + 1):
+        shift = (dA - k) * dB
+        ak = A.coeff(k)
+        if shift <= m and ak:
+            for i in range(m + 1 - shift):
+                if cur[i]:
+                    out[shift + i] = out[shift + i] + ak * cur[i]
+        if k < dA:
+            cur = _series_mul(cur, revB, m, field)
+    return out
+
+
+def solve_top_down(field: FieldDescriptor, lead, deg: int, steps: int,
+                   pivot, residual) -> Poly:
+    """The unknown h = lead*x^deg + ... of a triangular system, top down.
+
+    Sets h[deg-j] += residual(h, j) / pivot for j = 1..steps, where
+    residual(h, j) is the defect in the j-th coefficient from the top of
+    the defining identity, read off a truncated top-coefficient
+    composition (_rev_compose_trunc).  The identity must be linear in
+    h[deg-j] at that coefficient with the nonzero slope pivot, and blind
+    to the lower coefficients of h; callers verify the result in full.
+    """
+    h = [field.zero()] * deg + [field.coerce(lead)]
+    for j in range(1, steps + 1):
+        h[deg - j] = h[deg - j] + residual(Poly(field, tuple(h)), j) / pivot
+    return Poly.make(field, h)
+
+
 def poly_nth_root(F: Poly, n: int, lead_root) -> Poly | None:
     """The h with h^n = F and leading coefficient lead_root, if it exists."""
     if F.is_zero() or F.degree % n:
         return None
     e = F.degree // n
     field = F.field
-    a = field.coerce(lead_root)
-    h = [field.zero()] * e + [a]
-    pivot = n * a ** (n - 1)
-    for j in range(1, e + 1):
-        cur = Poly.make(field, h) ** n
-        delta = F.coeff(F.degree - j) - cur.coeff(F.degree - j)
-        h[e - j] = delta / pivot
-    cand = Poly.make(field, h)
+    xn = Poly.monomial(field, n)
+    top = _rev_trunc(F, e)
+    cand = solve_top_down(
+        field, lead_root, e, e, n * field.coerce(lead_root) ** (n - 1),
+        lambda h, j: top[j] - _rev_compose_trunc(xn, h, j)[j])
     return cand if cand ** n == F else None
 
 

@@ -8,12 +8,14 @@ search is bounded and certificate producing, never a decision procedure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from math import gcd
 
 from .decompose import right_factor_solve
 from .errors import (FieldExtensionRequiredError, HypothesisViolationError,
                      ResourceCapError, RittKitError)
 from .field import nth_roots
-from .poly import LinearPoly, Poly, compose, iterate, poly_nth_root
+from .poly import (LinearPoly, Poly, _rev_compose_trunc, compose, iterate,
+                   poly_nth_root, power_shape, solve_top_down)
 from .roots import in_field_roots
 
 DEFAULT_N_MAX = 4
@@ -36,62 +38,7 @@ def solve_eta(f: Poly, p: Poly) -> Poly | None:
     if f.degree < 2 or p.degree < 1:
         raise RittKitError("need deg f >= 2 and deg p >= 1")
     cands = right_factor_solve(compose(f, p), p)
-    for eta in cands:
-        if compose(f, p) == compose(p, eta):
-            return eta
-    return None
-
-
-def _series_mul(a: list, b: list, m: int, field) -> list:
-    out = [field.zero()] * (m + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for k in range(min(len(b), m + 1 - i)):
-                if b[k]:
-                    out[i + k] = out[i + k] + ai * b[k]
-    return out
-
-
-def _series_pow(base: list, e: int, m: int, field) -> list:
-    out = [field.one()] + [field.zero()] * m
-    cur = list(base)
-    while e:
-        if e & 1:
-            out = _series_mul(out, cur, m, field)
-        e >>= 1
-        if e:
-            cur = _series_mul(cur, cur, m, field)
-    return out
-
-
-def _rev_trunc(q: Poly, m: int) -> list:
-    d = q.degree
-    return [q.coeff(d - i) if d - i >= 0 else q.field.zero()
-            for i in range(m + 1)]
-
-
-def _rev_compose_trunc(A: Poly, B: Poly, m: int) -> list:
-    """Top m+1 coefficients of A o B, highest degree first.
-
-    Uses rev(A o B) = sum_k A_k rev(B)^k x^((deg A - k) deg B), so only
-    the few k near deg A ever enter the truncation window.
-    """
-    field = A.field
-    dA, dB = A.degree, B.degree
-    revB = _rev_trunc(B, m)
-    kmin = max(0, dA - m // dB)
-    cur = _series_pow(revB, kmin, m, field)
-    out = [field.zero()] * (m + 1)
-    for k in range(kmin, dA + 1):
-        shift = (dA - k) * dB
-        ak = A.coeff(k)
-        if shift <= m and ak:
-            for i in range(m + 1 - shift):
-                if cur[i]:
-                    out[shift + i] = out[shift + i] + ak * cur[i]
-        if k < dA:
-            cur = _series_mul(cur, revB, m, field)
-    return out
+    return cands[0] if cands else None
 
 
 def solve_intertwiner(left: Poly, right: Poly, deg_bound: int) -> list:
@@ -120,14 +67,10 @@ def solve_intertwiner(left: Poly, right: Poly, deg_bound: int) -> list:
             blocked = f"t^{delta - 1} = {target}"
             continue
         for a in leads:
-            pivot = delta * left.leading() * a ** (delta - 1)
-            p = [field.zero()] * b + [a]
-            for j in range(1, b + 1):
-                cand = Poly.make(field, p)
-                lhs = _rev_compose_trunc(left, cand, j)
-                rhs = _rev_compose_trunc(cand, right, j)
-                p[b - j] = p[b - j] + (rhs[j] - lhs[j]) / pivot
-            cand = Poly.make(field, p)
+            cand = solve_top_down(
+                field, a, b, b, delta * left.leading() * a ** (delta - 1),
+                lambda p, j: (_rev_compose_trunc(p, right, j)[j]
+                              - _rev_compose_trunc(left, p, j)[j]))
             if _rev_compose_trunc(left, cand, m) != \
                     _rev_compose_trunc(cand, right, m):
                 continue
@@ -170,12 +113,6 @@ class InouNormalForm:
                 and eta_t == rhs_eta)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def inou_normal_form(w: SemiconjWitness) -> InouNormalForm:
     """Normal form ell1 o f o ell1^{-1} = x^c P(x)^b, ell1 o p o ell2^{-1} = x^b.
 
@@ -189,7 +126,7 @@ def inou_normal_form(w: SemiconjWitness) -> InouNormalForm:
     delta, b = f.degree, p.degree
     if not semiconj_check(w):
         raise HypothesisViolationError("witness identity f o p = p o eta fails")
-    if _gcd(delta, b) != 1:
+    if gcd(delta, b) != 1:
         raise HypothesisViolationError("gcd(deg f, deg p) must be 1")
     if not classify(f).disintegrated:
         raise HypothesisViolationError("f must be disintegrated")
@@ -216,14 +153,12 @@ def inou_normal_form(w: SemiconjWitness) -> InouNormalForm:
         return nf
 
     # p must be a shifted power: p = p_b (x + t)^b + B
-    t = p.coeff(b - 1) / (b * p.leading())
-    model = (Poly.make(field, [t, 1]) ** b).scale(p.leading())
-    diff = p - model
-    if not diff.is_constant():
+    shape = power_shape(p)
+    if shape is None:
         raise HypothesisViolationError(
             "p is not equivalent to a power map, so the normal form "
             "hypotheses cannot hold")
-    B = diff.constant_term()
+    t, B = shape
     ell2 = LinearPoly.make(field, 1, t)
     ell1 = LinearPoly.make(field, field.one() / p.leading(),
                            -B / p.leading())
@@ -238,8 +173,7 @@ def inou_normal_form(w: SemiconjWitness) -> InouNormalForm:
     eta_t = compose(ell2.to_poly(), compose(eta, ell2.inverse().to_poly()))
     P = None
     for lead in nth_roots(Q.leading(), b, field):
-        cand = poly_nth_root(Q, b, lead) if Q.degree else (
-            Poly.constant(field, lead) if lead ** b == Q.coeffs[0] else None)
+        cand = poly_nth_root(Q, b, lead)
         if cand is None:
             continue
         rhs_eta = Poly.monomial(field, c) * compose(
@@ -291,9 +225,7 @@ def _power_shape_etas(F: Poly, deg_cap: int):
             if Q.degree % b:
                 continue
             for lead in nth_roots(Q.leading(), b, field):
-                P = poly_nth_root(Q, b, lead) if Q.degree else (
-                    Poly.constant(field, lead)
-                    if lead ** b == Q.coeffs[0] else None)
+                P = poly_nth_root(Q, b, lead)
                 if P is None:
                     continue
                 eta = Poly.monomial(field, c) * compose(

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bivar import BivarPoly
-from .errors import HypothesisViolationError, RittKitError
+from .bivar import affine_substitution_coeffs
+from .errors import HypothesisViolationError, ResourceCapError, RittKitError
 from .field import roots_of_unity, scalar_sort_key
-from .poly import (DEGREE_CAP, LinearPoly, Poly, compose, iterate, poly_gcd,
-                   poly_divmod)
+from .poly import LinearPoly, Poly, compose, iterate, poly_divmod, poly_gcd
 from .roots import in_field_roots
 
 INFINITE = "Infinite"
@@ -64,16 +63,9 @@ def _scale_equations(A: Poly):
         return c * (a - fieldK.one())
 
     # inner substitution a*x + c*(a - 1), with a as the second variable
-    inner = BivarPoly.make(fieldK, [[-c, 0], [c, 1]])
-    acc = BivarPoly(fieldK, ())
-    for coef in reversed(A.coeffs):
-        acc = acc * inner + BivarPoly.make(fieldK, [[coef]])
-    udeg = acc.deg_y
-    eqs = []
-    for i in range(1, d - 1):
-        lhs = Poly.make(fieldK, [acc.coeff(i, j) for j in range(udeg + 1)])
-        rhs = Poly.monomial(fieldK, d).scale(A.coeff(i))
-        eqs.append(lhs - rhs)
+    coeffs = affine_substitution_coeffs(A, c, -c)
+    eqs = [coeffs[i] - Poly.monomial(fieldK, d).scale(A.coeff(i))
+           for i in range(1, d - 1)]
     return eqs, b_of
 
 
@@ -187,7 +179,7 @@ def m_infinity(f: Poly, iter_bound: int | None = None) -> LinearGroup:
     for k in range(1, iter_bound + 1):
         try:
             F = compose(f, F)
-        except Exception:
+        except ResourceCapError:
             break
         for ell in _commuting_linears(F):
             key = (ell.a, ell.b)

@@ -128,3 +128,11 @@ def test_preperiodic_command():
 def test_z_without_cyclotomic_field_rejected():
     code, out = run(["classify", "--f", "z*x^2"])
     assert code == 2
+
+
+def test_return_set_modp_negative_n_rejected():
+    code, out = run(["return-set-modp", "--f1", "x^2", "--f2", "x^2",
+                     "--alpha", "2,3", "--curve", "y - x",
+                     "--n", "-3", "--primes", "5"])
+    assert code == 2
+    assert "N must be >= 0" in out

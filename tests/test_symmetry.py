@@ -142,3 +142,9 @@ def test_align_iterates_rejects_cyclic():
     with pytest.raises(HypothesisViolationError):
         align_iterates(Poly.monomial(QQ, 2), Poly.monomial(QQ, 2),
                        LinearPoly.identity(QQ), 2)
+
+
+def test_m_infinity_stops_at_degree_cap():
+    # (x^101 + x)^(o 2) has degree 101^2 > DEGREE_CAP, so only k = 1 counts
+    grp = m_infinity(P(0, 1) + X ** 101, 3)
+    assert {(e.a, e.b) for e in grp.elements} == {(1, 0), (-1, 0)}
