@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CollapsedImageError, FieldMismatchError, RittKitError
-from .field import FieldDescriptor
+from .field import FieldDescriptor, dense_mul
 from .poly import Poly, exact_div, poly_divmod, poly_gcd, squarefree_part
 
 
@@ -117,14 +117,8 @@ class BivarPoly:
         return self + (-other)
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
-        if self.is_zero() or other.is_zero():
-            return BivarPoly(self.field, ())
-        out = [Poly(self.field, ())] * (len(self.rows) + len(other.rows) - 1)
-        for j, r in enumerate(self.rows):
-            if not r.is_zero():
-                for k, s in enumerate(other.rows):
-                    out[j + k] = out[j + k] + r * s
-        return BivarPoly.make(self.field, out)
+        return BivarPoly.make(self.field, dense_mul(self.rows, other.rows,
+                                                    Poly(self.field, ())))
 
     def scale(self, c) -> "BivarPoly":
         return BivarPoly.make(self.field, [r.scale(c) for r in self.rows])

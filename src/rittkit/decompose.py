@@ -124,6 +124,8 @@ def complete_decompositions(f: Poly,
     """
     if f.degree < 2:
         raise RittKitError("decomposition needs degree >= 2")
+    if degree_cap < 1:
+        raise RittKitError("degree_cap must be >= 1")
     if f.degree > degree_cap:
         raise ResourceCapError(
             f"degree {f.degree} exceeds decomposition cap {degree_cap}")
@@ -164,6 +166,17 @@ class EngstromCertificate:
             compose(self.a_hat, self.b_hat) == compose(self.c_hat, self.d_hat),
         ]
         return all(checks)
+
+
+def equal_degree_linear(a: Poly, c: Poly, b: Poly,
+                        d: Poly) -> LinearPoly | None:
+    """The linear ell with a = c o ell and b = ell^{-1} o d, or None."""
+    for cand in right_factor_solve(a, c):
+        if cand.degree == 1:
+            ell = LinearPoly.from_poly(cand)
+            if compose(ell.inverse().to_poly(), d) == b:
+                return ell
+    return None
 
 
 def engstrom_refine(a: Poly, b: Poly, c: Poly, d: Poly) -> EngstromCertificate:
@@ -230,14 +243,7 @@ def engstrom_refine(a: Poly, b: Poly, c: Poly, d: Poly) -> EngstromCertificate:
     if c_hat is None:
         c_hat = compose(mus[0], c_hat0)
 
-    ell = None
-    if a.degree == c.degree:
-        for cand in right_factor_solve(a, c):
-            if cand.degree == 1:
-                lp = LinearPoly.from_poly(cand)
-                if compose(lp.inverse().to_poly(), d) == b:
-                    ell = lp
-                    break
+    ell = equal_degree_linear(a, c, b, d) if a.degree == c.degree else None
     cert = EngstromCertificate(g, h, a_hat, b_hat, c_hat, d_hat, ell)
     if not cert.verify(a, b, c, d):
         raise RittKitError("certificate verification failed")

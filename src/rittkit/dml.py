@@ -44,6 +44,8 @@ def orbit(F1: Poly, F2: Poly, alpha: tuple, N: int,
     """Exact orbit points up to index N, truncating at the height cap."""
     if N < 0:
         raise RittKitError("N must be >= 0")
+    if height_cap < 1:
+        raise RittKitError("height_cap must be >= 1")
     field = F1.field
     x0 = field.coerce(alpha[0])
     y0 = field.coerce(alpha[1])
@@ -234,6 +236,8 @@ def preperiodic_check(f: Poly, a, N: int,
     """Detect a repeat (preperiodic), certified escape, or give up."""
     if N < 1:
         raise RittKitError("N must be >= 1")
+    if height_cap < 1:
+        raise RittKitError("height_cap must be >= 1")
     if f.degree < 2:
         raise RittKitError("preperiodic_check needs degree >= 2")
     field = f.field

@@ -10,11 +10,50 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 from .errors import FieldMismatchError, RittKitError
 
 RATIONALS = "Rationals"
 CYCLOTOMIC = "Cyclotomic"
+
+
+def dense_mul(a, b, zero, top=None) -> list:
+    """Schoolbook product of ascending coefficient lists, skipping zero terms.
+
+    With top given, only the terms of degree 0..top are computed.
+    """
+    n = len(a) + len(b) - 1 if top is None else top + 1
+    out = [zero] * max(n, 0)
+    terms = [(j, bj) for j, bj in enumerate(b) if bj]
+    for i, ai in enumerate(a[:n]):
+        if ai:
+            for j, bj in terms:
+                if i + j >= n:
+                    break
+                out[i + j] += ai * bj
+    return out
+
+
+def dense_divmod(a, b) -> tuple:
+    """Long division of ascending coefficient lists: (q, r), len(r) < len(b).
+
+    b[-1] is 1 or a nonzero field scalar (Fraction or CycElem).  A monic b
+    takes no division step, so reduction modulo Phi_m stays division-free
+    and integer input stays integer.
+    """
+    db = len(b) - 1
+    inv = None if b[-1] == 1 else 1 / b[-1]
+    terms = [(j, bj) for j, bj in enumerate(b[:db]) if bj]
+    rem = list(a)
+    q = [None] * (len(rem) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = rem[k + db] if inv is None else rem[k + db] * inv
+        q[k] = c
+        if c:
+            for j, bj in terms:
+                rem[k + j] -= c * bj
+    return q, rem[:db]
 
 
 @lru_cache(maxsize=None)
@@ -26,23 +65,8 @@ def cyclotomic_polynomial(m: int) -> tuple:
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            phi_d = cyclotomic_polynomial(d)
-            poly = _zpoly_exact_div(poly, list(phi_d))
+            poly = dense_divmod(poly, cyclotomic_polynomial(d))[0]
     return tuple(poly)
-
-
-def _zpoly_exact_div(num, den):
-    """Exact division of integer-coefficient polynomial lists (ascending)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1] // den[-1]
-        out[i] = c
-        for j, dj in enumerate(den):
-            num[i + j] -= c * dj
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("inexact division")
-    return out
 
 
 @dataclass(frozen=True)
@@ -130,15 +154,8 @@ class CycElem:
     def from_vector(cls, field, vec):
         """Reduce an arbitrary-length ascending vector modulo Phi_m."""
         phi = cyclotomic_polynomial(field.order)
-        d = len(phi) - 1
-        vec = [Fraction(c) for c in vec]
-        for i in range(len(vec) - 1, d - 1, -1):
-            c = vec[i]
-            if c:
-                for j in range(d + 1):
-                    vec[i - d + j] -= c * phi[j]
-        vec = vec[:d] + [Fraction(0)] * (d - len(vec))
-        return cls(field, vec[:d])
+        rem = dense_divmod(vec, phi)[1]
+        return cls(field, rem + [0] * (len(phi) - 1 - len(rem)))
 
     def as_rational(self):
         if any(self.coeffs[1:]):
@@ -182,14 +199,8 @@ class CycElem:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        n = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return CycElem.from_vector(self.field, prod)
+        return CycElem.from_vector(
+            self.field, dense_mul(self.coeffs, o.coeffs, Fraction(0)))
 
     __rmul__ = __mul__
 
@@ -213,11 +224,10 @@ class CycElem:
         r0, r1 = phi, _trim(list(self.coeffs))
         s0, s1 = [], [Fraction(1)]
         while len(r1) > 1:
-            q, r = _qpoly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _qpoly_sub(s0, _qpoly_mul(q, s1))
-        if not r1:
-            raise ZeroDivisionError("not invertible (unexpected for a field)")
+            q, r = dense_divmod(r0, r1)
+            qs1 = dense_mul(q, s1, Fraction(0))
+            r0, r1 = r1, _trim(r)
+            s0, s1 = s1, [u - v for u, v in zip_longest(s0, qs1, fillvalue=0)]
         inv_lead = 1 / r1[0]
         return CycElem.from_vector(self.field, [c * inv_lead for c in s1])
 
@@ -254,40 +264,6 @@ def _trim(v):
     while v and not v[-1]:
         v.pop()
     return v
-
-
-def _qpoly_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        if len(a) >= i + len(b):
-            c = a[i + len(b) - 1] / b[-1]
-            q[i] = c
-            if c:
-                for j, bj in enumerate(b):
-                    a[i + j] -= c * bj
-            del a[i + len(b) - 1:]
-    return _trim(q), _trim(a)
-
-
-def _qpoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _qpoly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _trim(out)
 
 
 # ---------------------------------------------------------------------------

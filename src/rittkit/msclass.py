@@ -21,13 +21,15 @@ from .poly import Poly, compose, iterate, squarefree_part
 IMAGE_DEGREE_CAP = 512
 
 
+def _x_minus(h: Poly) -> BivarPoly:
+    """x - h(y)."""
+    return (BivarPoly.from_univar(Poly.x(h.field), "x")
+            - BivarPoly.from_univar(h, "y"))
+
+
 def _univar_image(h: Poly, f: Poly) -> Poly:
     """R(u) = Res_t(h(t), u - f(t)): the values f takes on the roots of h."""
-    field = h.field
-    A = BivarPoly.from_univar(h, "y")
-    rows = [Poly.make(field, [-f.coeff(0), 1])]
-    rows += [Poly.constant(field, -f.coeff(j)) for j in range(1, f.degree + 1)]
-    return resultant_y(A, BivarPoly.make(field, rows))
+    return resultant_y(BivarPoly.from_univar(h, "y"), _x_minus(f))
 
 
 def _generic_image(G: BivarPoly, f: Poly, g: Poly) -> BivarPoly:
@@ -134,6 +136,8 @@ def curve_period(C: BivarCurve, f: Poly, g: Poly, N_max: int,
     """
     if N_max < 1:
         raise RittKitError("N_max must be >= 1")
+    if degree_cap < 1:
+        raise RittKitError("degree_cap must be >= 1")
     chain = [C]
     for n in range(1, N_max + 1):
         nxt = curve_image(chain[-1], f, g)
@@ -157,14 +161,8 @@ def projection_profile(C: BivarCurve) -> dict:
 
 def graph_curve(h: Poly, orientation: str = "y") -> BivarCurve:
     """The curve y - h(x) = 0, or x - h(y) = 0 when orientation is "x"."""
-    field = h.field
-    if orientation == "y":
-        rows = [-h, Poly.constant(field, 1)]
-    else:
-        rows = [Poly.make(field, [-h.coeff(0), 1])]
-        rows += [Poly.constant(field, -h.coeff(j))
-                 for j in range(1, h.degree + 1)]
-    return BivarCurve.make(BivarPoly.make(field, rows))
+    G = _x_minus(h)
+    return BivarCurve.make(G.transpose() if orientation == "y" else G)
 
 
 def f_tilde_candidate(f: Poly, iter_bound: int) -> Poly:

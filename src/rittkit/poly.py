@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FieldMismatchError, ResourceCapError, RittKitError
-from .field import QQ, FieldDescriptor, scalar_str
+from .field import QQ, FieldDescriptor, dense_divmod, dense_mul, scalar_str
 
 DEGREE_CAP = 10_000
 
@@ -45,6 +45,9 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
@@ -92,15 +95,8 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Poly(self.field, ())
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-        return Poly.make(self.field, out)
+        return Poly.make(self.field, dense_mul(self.coeffs, other.coeffs,
+                                               self.field.zero()))
 
     __rmul__ = __mul__
 
@@ -287,16 +283,8 @@ def poly_divmod(a: Poly, b: Poly) -> tuple:
     a._check(b)
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    rem = list(a.coeffs)
-    db = b.degree
-    q = [a.field.zero()] * max(0, len(rem) - db)
-    for k in range(len(q) - 1, -1, -1):
-        c = rem[k + db] / b.leading()
-        q[k] = c
-        if c:
-            for j in range(db + 1):
-                rem[k + j] = rem[k + j] - c * b.coeffs[j]
-    return Poly.make(a.field, q), Poly.make(a.field, rem[:db])
+    q, r = dense_divmod(a.coeffs, b.coeffs)
+    return Poly.make(a.field, q), Poly.make(a.field, r)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -322,25 +310,15 @@ def power_shape(f: Poly) -> tuple | None:
 
 # -- truncated reversed series: the top coefficients of powers and compositions
 
-def _series_mul(a: list, b: list, m: int, field) -> list:
-    out = [field.zero()] * (m + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for k in range(min(len(b), m + 1 - i)):
-                if b[k]:
-                    out[i + k] = out[i + k] + ai * b[k]
-    return out
-
-
 def _series_pow(base: list, e: int, m: int, field) -> list:
     out = [field.one()] + [field.zero()] * m
     cur = list(base)
     while e:
         if e & 1:
-            out = _series_mul(out, cur, m, field)
+            out = dense_mul(out, cur, field.zero(), m)
         e >>= 1
         if e:
-            cur = _series_mul(cur, cur, m, field)
+            cur = dense_mul(cur, cur, field.zero(), m)
     return out
 
 
@@ -370,7 +348,7 @@ def _rev_compose_trunc(A: Poly, B: Poly, m: int) -> list:
                 if cur[i]:
                     out[shift + i] = out[shift + i] + ak * cur[i]
         if k < dA:
-            cur = _series_mul(cur, revB, m, field)
+            cur = dense_mul(cur, revB, field.zero(), m)
     return out
 
 

@@ -246,6 +246,8 @@ def common_semiconjugate(f: Poly, g: Poly,
     proof that f and g are inequivalent.
     """
     from .conjugacy import classify
+    if N_max < 1:
+        raise RittKitError("N_max must be >= 1")
     if f.degree != g.degree or f.degree < 2:
         raise RittKitError("need equal degrees >= 2")
     if not classify(f).disintegrated or not classify(g).disintegrated:
@@ -305,6 +307,8 @@ def approx_classes(fs, N_max: int = DEFAULT_N_MAX,
     For each class a single theta semiconjugate to every member's N-th
     iterate is produced by chaining pairwise witnesses.
     """
+    if N_max < 1:
+        raise RittKitError("N_max must be >= 1")
     n = len(fs)
     parent = list(range(n))
 
@@ -314,14 +318,12 @@ def approx_classes(fs, N_max: int = DEFAULT_N_MAX,
             i = parent[i]
         return i
 
-    pair_witness = {}
     for i in range(n):
         for j in range(i + 1, n):
             if find(i) == find(j):
                 continue
             wit = common_semiconjugate(fs[i], fs[j], N_max, deg_cap)
             if wit is not None:
-                pair_witness[(i, j)] = wit
                 parent[find(j)] = find(i)
     groups = {}
     for i in range(n):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bivar import affine_substitution_coeffs
+from .decompose import equal_degree_linear
 from .errors import HypothesisViolationError, ResourceCapError, RittKitError
 from .field import roots_of_unity, scalar_sort_key
 from .poly import LinearPoly, Poly, compose, iterate, poly_divmod, poly_gcd
@@ -222,17 +223,6 @@ def common_commuting_iterate(f: Poly, bound: int | None = None) -> int | None:
     return None
 
 
-def _equal_degree_linear(a: Poly, c: Poly, b: Poly, d: Poly) -> LinearPoly:
-    """The linear ell with a = c o ell and b = ell^{-1} o d."""
-    from .decompose import right_factor_solve
-    for cand in right_factor_solve(a, c):
-        if cand.degree == 1:
-            lp = LinearPoly.from_poly(cand)
-            if compose(lp.inverse().to_poly(), d) == b:
-                return lp
-    raise RittKitError("no in-field linear relating the equal-degree factors")
-
-
 def align_iterates(f: Poly, g: Poly, L: LinearPoly, n: int):
     """(ell, N) with f^(o N) = (ell o g o ell^{-1})^(o N), N <= n.
 
@@ -256,7 +246,10 @@ def align_iterates(f: Poly, g: Poly, L: LinearPoly, n: int):
         b = iterate(f, k - 1)
         c = compose(Ms[-1].to_poly(), g)
         d = iterate(g, k - 1)
-        ell = _equal_degree_linear(a, c, b, d)
+        ell = equal_degree_linear(a, c, b, d)
+        if ell is None:
+            raise RittKitError(
+                "no in-field linear relating the equal-degree factors")
         Ms.append(ell.inverse())
     if not Ms[-1].is_identity():
         raise RittKitError("peeling did not terminate at the identity")

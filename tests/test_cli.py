@@ -3,6 +3,8 @@ import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 
+import pytest
+
 from conftest import random_poly, rng_for
 
 from rittkit import QQ, BivarPoly, Poly, cyclotomic_field, parse_bivar, parse_poly
@@ -136,3 +138,30 @@ def test_return_set_modp_negative_n_rejected():
                      "--n", "-3", "--primes", "5"])
     assert code == 2
     assert "N must be >= 0" in out
+
+
+INVALID_CAPS = [
+    (["orbit", "--f1", "x^2", "--f2", "x^2", "--alpha", "2,0", "--n", "3",
+      "--height-cap", "-1"], "height_cap must be >= 1"),
+    (["return-set", "--f1", "x^2", "--f2", "x^2", "--alpha", "2,0",
+      "--curve", "y - x", "--n", "3", "--height-cap", "-1"],
+     "height_cap must be >= 1"),
+    (["preperiodic", "--f", "x^2 - 1", "--a", "0", "--n", "8",
+      "--height-cap", "-1"], "height_cap must be >= 1"),
+    (["decompose", "--f", "x^4 + 1", "--degree-cap", "-5"],
+     "degree_cap must be >= 1"),
+    (["curve-period", "--curve", "x - y", "--f", "x^2", "--g", "x^2",
+      "--degree-cap", "-1"], "degree_cap must be >= 1"),
+    (["common-semiconj", "--f", "x^2 + 1", "--g", "x^2 + 1", "--nmax", "0"],
+     "N_max must be >= 1"),
+    (["approx-classes", "--f", "x^2 + 1", "--nmax", "-1"],
+     "N_max must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", INVALID_CAPS,
+                         ids=[argv[0] for argv, _ in INVALID_CAPS])
+def test_invalid_cap_and_count_flags_rejected(argv, message):
+    code, out = run(argv)
+    assert code == 2
+    assert message in out
