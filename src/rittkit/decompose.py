@@ -54,13 +54,16 @@ def left_factor_solve(F: Poly, h: Poly) -> Poly | None:
     field = F.field
     m = F.degree // h.degree
     dh = h.degree
+    powers = [Poly.constant(field, 1)]
+    for _ in range(m):
+        powers.append(powers[-1] * h)
     R = F
     gs = [field.zero()] * (m + 1)
     for i in range(m, -1, -1):
-        c = R.coeff(i * dh) / h.leading() ** i
+        c = R.coeff(i * dh) / powers[i].leading()
         gs[i] = c
         if c:
-            R = R - (h ** i).scale(c)
+            R = R - powers[i].scale(c)
     if not R.is_zero():
         return None
     g = Poly.make(field, gs)
@@ -129,16 +132,13 @@ def complete_decompositions(f: Poly,
     if f.degree > degree_cap:
         raise ResourceCapError(
             f"degree {f.degree} exceeds decomposition cap {degree_cap}")
-    chains = []
-    if _is_indecomposable(f):
+    splits = [split for split in (normalized_right_factor(f, e)
+                                  for e in range(2, f.degree)
+                                  if f.degree % e == 0) if split]
+    if not splits:
         return [DecompositionChain((f,))]
-    for e in range(2, f.degree):
-        if f.degree % e:
-            continue
-        split = normalized_right_factor(f, e)
-        if split is None:
-            continue
-        g, h = split
+    chains = []
+    for g, h in splits:
         if not _is_indecomposable(h):
             continue
         for sub in complete_decompositions(g, degree_cap):

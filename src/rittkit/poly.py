@@ -7,9 +7,12 @@ the zero polynomial has an empty coefficient tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 
 from .errors import FieldMismatchError, ResourceCapError, RittKitError
-from .field import QQ, FieldDescriptor, dense_divmod, dense_mul, scalar_str
+from .field import (QQ, FieldDescriptor, dense_divmod, dense_mul, int_vector,
+                    scalar_str)
 
 DEGREE_CAP = 10_000
 
@@ -288,9 +291,56 @@ def poly_divmod(a: Poly, b: Poly) -> tuple:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """The monic gcd (zero for two zeros).
+
+    Over Q by a primitive integer remainder sequence, which keeps the
+    coefficients at the size of the gcd's cofactors instead of letting
+    Euclid's Fractions swell (Collins 1971; Brown 1971).
+    """
+    if a.field == QQ and b.field == QQ:
+        g = _int_gcd(primitive(int_vector(a.coeffs)[0]),
+                    primitive(int_vector(b.coeffs)[0]))
+        return Poly(QQ, tuple(Fraction(c, g[-1]) for c in g)) if g else a
     while not b.is_zero():
         a, b = b, poly_divmod(a, b)[1]
     return a.monic() if not a.is_zero() else a
+
+
+def primitive(ints: list) -> list:
+    """An integer coefficient list divided by the gcd of its entries."""
+    c = gcd(*ints)
+    return [x // c for x in ints] if c > 1 else list(ints)
+
+
+def _int_gcd(a: list, b: list) -> list:
+    """A gcd in Z[x] of two primitive integer lists (trimmed, ascending)."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        if len(b) == 1:
+            return [1]
+        a, b = b, primitive(_int_prem(a, b))
+    return a
+
+
+def _int_prem(a: list, b: list) -> list:
+    """A nonzero integer multiple of a mod b, in integer arithmetic only."""
+    r = list(a)
+    db = len(b) - 1
+    lb, low = b[-1], b[:db]
+    while len(r) > db:
+        c = r.pop()
+        if c:
+            g = gcd(c, lb)
+            s, c = lb // g, c // g
+            if s != 1:
+                r = [s * x for x in r]
+            k = len(r) - db
+            for j, bj in enumerate(low):
+                r[k + j] -= c * bj
+    while r and not r[-1]:
+        r.pop()
+    return r
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:

@@ -1,69 +1,79 @@
 """In-field root finding for univariate polynomials.
 
-Over Q the search is complete (rational root theorem).  Over Q(zeta_m)
-degrees 1 and 2 are decided exactly; in higher degree, roots of the form
-(rational)*(root of unity) are found and the polynomial is deflated, which
-covers every construction in this library.
+Over Q the search is complete (roots mod a prime, lifted by Hensel).  Over
+Q(zeta_m) degrees 1 and 2 are decided exactly; in higher degree, roots of
+the form (rational)*(root of unity) are found and the polynomial is
+deflated, which covers every construction in this library.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
-from .field import (CYCLOTOMIC, QQ, as_rational, nth_roots, roots_of_unity,
+from .field import (CYCLOTOMIC, QQ, int_vector, nth_roots, roots_of_unity,
                     scalar_sort_key)
-from .poly import Poly, poly_divmod, poly_gcd
-
-
-def _divisors(n: int) -> list:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+from .poly import Poly, poly_divmod, poly_gcd, primitive, squarefree_part
 
 
 def rational_roots(coeffs) -> list:
-    """All rational roots of a polynomial given by ascending Fraction coeffs."""
+    """All rational roots of a polynomial given by ascending Fraction coeffs.
+
+    The squarefree primitive part F, of degree n and leading coefficient a,
+    becomes the monic integer G(x) = a^(n-1) F(x/a), whose rational roots
+    are the integers a*r.  Each integer root reduces to a root of G mod p,
+    for the first prime p not dividing a at which every root is simple;
+    each such root lifts uniquely by Hensel's lemma past twice the Cauchy
+    bound, and the lifts that are exact roots of G are kept.
+    """
     cs = [Fraction(c) for c in coeffs]
     while cs and not cs[-1]:
         cs.pop()
-    if len(cs) <= 1:
-        return []
     roots = []
-    while not cs[0]:
-        if Fraction(0) not in roots:
-            roots.append(Fraction(0))
+    while len(cs) > 1 and not cs[0]:
+        roots = [Fraction(0)]
         cs = cs[1:]
-        if len(cs) <= 1:
-            return sorted(roots)
-    den_lcm = 1
-    for c in cs:
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in cs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
-    for p in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
-            if gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.append(cand)
+    if len(cs) <= 1:
+        return roots
+    F = primitive(int_vector(squarefree_part(Poly.make(QQ, cs)).coeffs)[0])
+    n, a = len(F) - 1, F[-1]
+    G = [c * a ** (n - 1 - i) for i, c in enumerate(F[:n])] + [1]
+    dG = [i * c for i, c in enumerate(G)][1:]
+    bound = 2 * (1 + max(map(abs, G[:n])))
+    p = 2
+    while True:
+        if a % p:
+            found = [r for r in range(p) if not _horner(G, r, p)]
+            if all(_horner(dG, r, p) for r in found):
+                break
+        p = _next_prime(p)
+    for r in found:
+        mod = p
+        while mod <= bound:
+            mod *= mod
+            r = (r - _horner(G, r, mod) * pow(_horner(dG, r, mod), -1, mod)
+                 ) % mod
+        z = r - mod if 2 * r > mod else r
+        if not _horner(G, z):
+            roots.append(Fraction(z, a))
     return sorted(roots)
+
+
+def _horner(ints: list, v: int, mod: int = 0) -> int:
+    """The value at v of an integer polynomial, reduced mod `mod` if given."""
+    acc = 0
+    for c in reversed(ints):
+        acc = acc * v + c
+        if mod:
+            acc %= mod
+    return acc
+
+
+def _next_prime(p: int) -> int:
+    p += 1
+    while any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        p += 1
+    return p
 
 
 def _quadratic_roots(F: Poly) -> list:
