@@ -106,27 +106,40 @@ class ConstantExpr:
             return base.parity()
         return None
 
-    def log2_estimate(self) -> float:
+    def log2_bounds(self) -> tuple:
+        """(lo, hi) with lo <= log2(value) <= hi, up to float rounding.
+
+        A power whose exponent may pass 2^1000 clamps the exponent there:
+        lo stays a lower bound and hi becomes inf.
+        """
         if self.kind == INT:
             if self.value <= 0:
-                return float("-inf")
-            if self.value.bit_length() < 900:
-                return math.log2(self.value)
-            return float(self.value.bit_length() - 1)
+                return float("-inf"), float("-inf")
+            bits = self.value.bit_length()
+            if bits < 900:
+                x = math.log2(self.value)
+                return x, x
+            return float(bits - 1), float(bits)
+        kids = [c.log2_bounds() for c in self.children]
         if self.kind == ADD:
-            return max(c.log2_estimate() for c in self.children) + 1.0
+            return (max(lo for lo, _ in kids),
+                    max(hi for _, hi in kids) + 1.0)
         if self.kind == MUL:
-            return min(LOG2_SATURATION,
-                       sum(c.log2_estimate() for c in self.children))
+            return (min(LOG2_SATURATION, sum(lo for lo, _ in kids)),
+                    sum(hi for _, hi in kids))
         if self.kind == POW:
-            base, exp = self.children
-            e = float(exp.value) if exp.is_exact() else 2.0 ** min(
-                1000.0, exp.log2_estimate())
-            return min(LOG2_SATURATION, e * base.log2_estimate())
+            (blo, bhi), (elo, ehi) = kids
+            exp = self.children[1]
+            if exp.is_exact() and exp.value.bit_length() <= 1000:
+                e_lo = e_hi = float(exp.value)
+            else:
+                e_lo = 2.0 ** min(1000.0, elo)
+                e_hi = 2.0 ** ehi if ehi <= 1000.0 else float("inf")
+            return min(LOG2_SATURATION, e_lo * blo), e_hi * bhi
         if self.kind == MAX:
-            return max(c.log2_estimate() for c in self.children)
+            return max(lo for lo, _ in kids), max(hi for _, hi in kids)
         if self.kind == HALF:
-            return self.children[0].log2_estimate() - 1.0
+            return kids[0][0] - 1.0, kids[0][1] - 1.0
         raise ValueError(self.kind)
 
     def normalized(self) -> "ConstantExpr":
@@ -147,7 +160,8 @@ class ConstantExpr:
     def __str__(self):
         if self.kind == INT:
             if self.value.bit_length() > 256:
-                return f"2^~{self.log2_estimate():.1f} ({self.value.bit_length()} bits)"
+                return (f"2^~{self.log2_bounds()[0]:.1f} "
+                        f"({self.value.bit_length()} bits)")
             return str(self.value)
         a = self.children
         if self.kind == ADD:
@@ -174,14 +188,19 @@ def compare(a: ConstantExpr, b: ConstantExpr) -> int | None:
             sub = compare(a.children[1], b.children[1])
             if sub is not None:
                 return sub
-    la, lb = a.log2_estimate(), b.log2_estimate()
-    # the constructions here are monotone stacks of +, *, ^ over integers,
-    # so a comfortably large log2 gap is decisive
-    if la - lb > 2.0:
+    (alo, ahi), (blo, bhi) = a.log2_bounds(), b.log2_bounds()
+    # decisive only when one side's lower bound clears the other's upper
+    # bound by the slack plus float rounding; a clamped power has hi = inf,
+    # so it is never found to be the smaller side
+    if _clears(alo, bhi):
         return 1
-    if lb - la > 2.0:
+    if _clears(blo, ahi):
         return -1
     return None
+
+
+def _clears(lo: float, hi: float) -> bool:
+    return lo - hi > 2.0 + 1e-9 * abs(lo)
 
 
 def bound_c1(d: int, n: int, trace: list | None = None) -> ConstantExpr:

@@ -1,8 +1,9 @@
 """Exact coefficient fields: Q and the cyclotomic fields Q(zeta_m).
 
 Rational scalars are plain `fractions.Fraction`; cyclotomic scalars are
-`CycElem` vectors reduced modulo the m-th cyclotomic polynomial.  Every
-operation is exact; nothing here ever rounds.
+`CycElem` integer vectors over one common denominator, reduced modulo the
+m-th cyclotomic polynomial.  Every operation is exact; nothing here ever
+rounds.
 """
 
 from __future__ import annotations
@@ -11,17 +12,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 
-from .errors import FieldMismatchError, RittKitError
+from .errors import FieldMismatchError, ResourceCapError, RittKitError
 
 RATIONALS = "Rationals"
 CYCLOTOMIC = "Cyclotomic"
 
+# Largest degree phi(m) of an accepted field Q(zeta m).  A CycElem product
+# costs about phi(m)^2 integer operations, and the m roots of unity of the
+# field about m*phi(m)^2; the largest order admitted is m = 1050.
+CYCLOTOMIC_DEGREE_CAP = 256
+
 
 # Below this many terms per operand the schoolbook product of Fractions beats
-# the conversions of the Kronecker product; the 4- and 6-term vectors of
-# CycElem products in Q(zeta 5) and Q(zeta 7) stay on schoolbook.
+# the conversions of the Kronecker product.  CycElem products multiply
+# integer numerators, so they always take the schoolbook loop.
 KRONECKER_MIN_LEN = 8
 
 
@@ -110,6 +116,42 @@ def dense_divmod(a, b) -> tuple:
     return q, rem[:db]
 
 
+def int_pseudo_divmod(a, b) -> tuple:
+    """(f, q, r) with f*a == q*b + r over the integers, r trimmed.
+
+    Integer arithmetic only: each step scales by lc(b)/gcd(c, lc(b)), the
+    least factor that makes the next quotient term c an integer.  Only the
+    len(b) - 1 terms under b are scaled at each step; a term of a below
+    them takes the product of the factors when b reaches it, and each
+    quotient term the product of the later ones at the end, so a long a
+    over a short b costs about len(a)*len(b) products, not len(a)^2.
+    """
+    db = len(b) - 1
+    lb = b[-1]
+    terms = [(j, bj) for j, bj in enumerate(b[:db]) if bj]
+    r, q, scales, f = list(a), [], [], 1
+    for k in range(len(r) - 1 - db, -1, -1):
+        r[k] *= f                           # r[k+1:] are at scale f already
+        c = r.pop()
+        s = 1
+        if c:
+            g = gcd(c, lb)
+            s, c = lb // g, c // g
+            if s != 1:
+                for i in range(k, k + db):
+                    r[i] *= s
+                f *= s
+            for j, bj in terms:
+                r[k + j] -= c * bj
+        q.append(c)
+        scales.append(s)
+    later = 1
+    for i in range(len(q) - 1, -1, -1):
+        q[i] *= later
+        later *= scales[i]
+    return f, q[::-1], _trim(r)
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple:
     """Integer coefficients (ascending) of the m-th cyclotomic polynomial."""
@@ -121,6 +163,18 @@ def cyclotomic_polynomial(m: int) -> tuple:
         if m % d == 0:
             poly = dense_divmod(poly, cyclotomic_polynomial(d))[0]
     return tuple(poly)
+
+
+def euler_phi(m: int) -> int:
+    """Euler's totient of m >= 1, by trial division."""
+    out, n, p = m, m, 2
+    while p * p <= n:
+        if n % p == 0:
+            out -= out // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out - out // n if n > 1 else out
 
 
 @dataclass(frozen=True)
@@ -137,6 +191,13 @@ class FieldDescriptor:
                 raise ValueError("cyclotomic order must be a positive integer")
             if self.order in (1, 2):
                 raise ValueError("Q(zeta_1) and Q(zeta_2) are Q; use Rationals")
+            # phi(m) >= sqrt(m/2), so a larger m needs no factoring.
+            if (self.order > 2 * CYCLOTOMIC_DEGREE_CAP ** 2
+                    or euler_phi(self.order) > CYCLOTOMIC_DEGREE_CAP):
+                raise ResourceCapError(
+                    f"Q(zeta {self.order}) has degree phi({self.order}) above "
+                    f"the cyclotomic degree cap CYCLOTOMIC_DEGREE_CAP = "
+                    f"{CYCLOTOMIC_DEGREE_CAP}")
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
 
@@ -155,9 +216,7 @@ class FieldDescriptor:
     def zeta(self):
         if self.kind == RATIONALS:
             raise RittKitError("Q has no cyclotomic generator")
-        vec = [Fraction(0)] * self.degree
-        vec[1] = Fraction(1)
-        return CycElem(self, tuple(vec))
+        return CycElem._make(self, [0, 1], 1)
 
     def coerce(self, v):
         if self.kind == RATIONALS:
@@ -171,9 +230,9 @@ class FieldDescriptor:
             if v.field != self:
                 raise FieldMismatchError("cyclotomic orders differ")
             return v
-        vec = [Fraction(0)] * self.degree
-        vec[0] = Fraction(v)
-        return CycElem(self, tuple(vec))
+        if not isinstance(v, (int, Fraction)):
+            v = Fraction(v)
+        return CycElem._make(self, [v.numerator], v.denominator)
 
     def __str__(self):
         if self.kind == RATIONALS:
@@ -191,30 +250,51 @@ def cyclotomic_field(m: int) -> FieldDescriptor:
 
 
 class CycElem:
-    """Element of Q(zeta_m), a vector modulo the m-th cyclotomic polynomial."""
+    """Element of Q(zeta_m), a vector modulo the m-th cyclotomic polynomial.
 
-    __slots__ = ("field", "coeffs")
+    Stored as integer numerators `nums` over one positive denominator `den`
+    with gcd(den, *nums) == 1, so equal elements have equal (nums, den).
+    """
+
+    __slots__ = ("field", "nums", "den")
 
     def __init__(self, field: FieldDescriptor, coeffs):
-        d = field.degree
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != d:
+        coeffs = [Fraction(c) for c in coeffs]
+        if len(coeffs) != field.degree:
             raise ValueError("coefficient vector has wrong length")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
+        nums, den = int_vector(coeffs)
+        self.field, self.nums, self.den = field, tuple(nums), den
 
     # -- construction helpers ------------------------------------------
     @classmethod
+    def _make(cls, field, nums, den):
+        """Canonical element nums/den, nums reduced modulo Phi_m if longer."""
+        phi = cyclotomic_polynomial(field.order)
+        d = len(phi) - 1
+        if len(nums) > d:
+            nums = dense_divmod(nums, phi)[1]
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = [n // g for n in nums], den // g
+        out = object.__new__(cls)
+        out.field, out.den = field, den
+        out.nums = tuple(nums) + (0,) * (d - len(nums))
+        return out
+
+    @classmethod
     def from_vector(cls, field, vec):
         """Reduce an arbitrary-length ascending vector modulo Phi_m."""
-        phi = cyclotomic_polynomial(field.order)
-        rem = dense_divmod(vec, phi)[1]
-        return cls(field, rem + [0] * (len(phi) - 1 - len(rem)))
+        return cls._make(field, *int_vector(vec))
+
+    @property
+    def coeffs(self) -> tuple:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     def as_rational(self):
-        if any(self.coeffs[1:]):
+        if any(self.nums[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic -----------------------------------------------------
     def _coerced(self, other):
@@ -226,35 +306,43 @@ class CycElem:
             return self.field.coerce(other)
         return None
 
+    def _sum(self, o, sign):
+        if self.den == o.den:
+            nums = [a + sign * b for a, b in zip(self.nums, o.nums)]
+            return CycElem._make(self.field, nums, self.den)
+        da, db = self.den, o.den
+        nums = [a * db + sign * b * da for a, b in zip(self.nums, o.nums)]
+        return CycElem._make(self.field, nums, da * db)
+
     def __add__(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return CycElem(self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._sum(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycElem(self.field, [-a for a in self.coeffs])
+        return CycElem._make(self.field, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return CycElem(self.field, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._sum(o, -1)
 
     def __rsub__(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return o._sum(self, -1)
 
     def __mul__(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return CycElem.from_vector(
-            self.field, dense_mul(self.coeffs, o.coeffs, Fraction(0)))
+        return CycElem._make(self.field, dense_mul(self.nums, o.nums, 0),
+                             self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -271,19 +359,30 @@ class CycElem:
         return result
 
     def inverse(self):
+        """1/self by an extended primitive remainder sequence in Z[t].
+
+        Rows (r, s, c) satisfy c*s*nums == r mod Phi_m with r and s
+        primitive integer vectors and c a Fraction, so the vectors never
+        hold a Fraction (Collins 1967; Brown 1971).
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.field.order)]
-        # Extended Euclid over Q[t]: find u with u*self = 1 mod Phi_m.
-        r0, r1 = phi, _trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
+        r0, s0, c0 = list(cyclotomic_polynomial(self.field.order)), [], 1
+        r1, s1, c1 = _trim(list(self.nums)), [1], Fraction(1)
         while len(r1) > 1:
-            q, r = dense_divmod(r0, r1)
-            qs1 = dense_mul(q, s1, Fraction(0))
-            r0, r1 = r1, _trim(r)
-            s0, s1 = s1, [u - v for u, v in zip_longest(s0, qs1, fillvalue=0)]
-        inv_lead = 1 / r1[0]
-        return CycElem.from_vector(self.field, [c * inv_lead for c in s1])
+            f, q, r = int_pseudo_divmod(r0, r1)
+            # f*r0 - q*r1 == r, so (f*c0*s0 - c1*q*s1)*nums == r mod Phi_m.
+            a = f * c0.numerator * c1.denominator
+            b = c1.numerator * c0.denominator
+            s = [a * u - b * v for u, v in
+                 zip_longest(s0, dense_mul(q, s1, 0), fillvalue=0)]
+            gr, gs = gcd(*r), gcd(*s)
+            c = Fraction(gs, c0.denominator * c1.denominator * gr)
+            r0, s0, c0 = r1, s1, c1
+            r1, s1, c1 = [u // gr for u in r], [v // gs for v in s], c
+        scale = self.den * c1 / r1[0]
+        return CycElem._make(self.field, [scale.numerator * u for u in s1],
+                             scale.denominator)
 
     def __truediv__(self, other):
         o = self._coerced(other)
@@ -295,20 +394,22 @@ class CycElem:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return self.inverse() if other == 1 else o * self.inverse()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.field.coerce(other)
+            return (self.den == other.denominator
+                    and self.nums[0] == other.numerator
+                    and not any(self.nums[1:]))
         if not isinstance(other, CycElem) or other.field != self.field:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.nums, self.den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __repr__(self):
         return f"CycElem({self.field}, {scalar_str(self)})"

@@ -13,11 +13,19 @@ import re
 from fractions import Fraction
 
 from .bivar import BivarCurve, BivarPoly
-from .errors import ParseError
-from .field import QQ, FieldDescriptor, cyclotomic_field
-from .poly import Poly
+from .errors import ParseError, ResourceCapError
+from .field import QQ, CycElem, FieldDescriptor, cyclotomic_field
+from .poly import DEGREE_CAP, Poly
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([xyz])|([()+\-*^/]))")
+
+# Deepest parenthesis nesting accepted; each level costs four stack frames.
+MAX_NESTING = 100
+
+# Largest bit size a coefficient may reach while a power is expanded.  The
+# degree cap leaves a constant base unbounded: 2^99999999 would need a
+# 10^8-bit integer, while (x + 1)^10000 needs about 10^4 bits.
+POWER_BITS_CAP = 100_000
 
 _FIELD_RE = re.compile(r"^\s*(?:field\s+)?Q(?:\s*\(\s*zeta\s+(\d+)\s*\))?\s*$")
 
@@ -53,11 +61,25 @@ def _tokenize(text: str):
     return tokens
 
 
+def _max_bits(p: BivarPoly) -> int:
+    """Largest bit size of a numerator or denominator among p's coefficients."""
+    out = 0
+    for row in p.rows:
+        for c in row.coeffs:
+            if isinstance(c, CycElem):
+                ints = (c.den, *c.nums)
+            else:
+                ints = (c.numerator, c.denominator)
+            out = max(out, *(abs(v).bit_length() for v in ints))
+    return out
+
+
 class _Parser:
     def __init__(self, text: str, field: FieldDescriptor):
         self.field = field
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.end = len(text)
 
     def peek(self):
@@ -122,9 +144,24 @@ class _Parser:
         if exp[0] != "int":
             raise ParseError("exponent must be a nonnegative integer",
                              position=exp[2])
+        n = exp[1]
+        degree = max(base.deg_x, base.deg_y) * n
+        if degree > DEGREE_CAP:
+            raise ResourceCapError(
+                f"exponent {n} gives degree {degree}, above the degree cap "
+                f"DEGREE_CAP = {DEGREE_CAP}")
         out = self.const(1)
-        for _ in range(exp[1]):
-            out = out * base
+        while n:                            # square and multiply
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+                if _max_bits(base) > POWER_BITS_CAP:
+                    raise ResourceCapError(
+                        f"exponent {exp[1]} gives coefficients above the "
+                        f"power size cap POWER_BITS_CAP = {POWER_BITS_CAP} "
+                        f"bits")
         return out
 
     def atom(self) -> BivarPoly:
@@ -151,8 +188,13 @@ class _Parser:
                                  position=tok[2])
             return self.const(self.field.zeta())
         if tok[0] == "op" and tok[1] == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than "
+                                 f"{MAX_NESTING}", position=tok[2])
+            self.depth += 1
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected token {tok[1]!r}", position=tok[2])
 

@@ -11,8 +11,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import FieldMismatchError, ResourceCapError, RittKitError
-from .field import (QQ, FieldDescriptor, dense_divmod, dense_mul, int_vector,
-                    scalar_str)
+from .field import (QQ, FieldDescriptor, dense_divmod, dense_mul,
+                    int_pseudo_divmod, int_vector, scalar_str)
 
 DEGREE_CAP = 10_000
 
@@ -319,28 +319,8 @@ def _int_gcd(a: list, b: list) -> list:
     while b:
         if len(b) == 1:
             return [1]
-        a, b = b, primitive(_int_prem(a, b))
+        a, b = b, primitive(int_pseudo_divmod(a, b)[2])
     return a
-
-
-def _int_prem(a: list, b: list) -> list:
-    """A nonzero integer multiple of a mod b, in integer arithmetic only."""
-    r = list(a)
-    db = len(b) - 1
-    lb, low = b[-1], b[:db]
-    while len(r) > db:
-        c = r.pop()
-        if c:
-            g = gcd(c, lb)
-            s, c = lb // g, c // g
-            if s != 1:
-                r = [s * x for x in r]
-            k = len(r) - db
-            for j, bj in enumerate(low):
-                r[k + j] -= c * bj
-    while r and not r[-1]:
-        r.pop()
-    return r
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:

@@ -99,9 +99,8 @@ def _unity_scaled_roots(F: Poly) -> list:
         coords = [[Fraction(0)] * len(F.coeffs) for _ in range(d)]
         wp = field.one()
         for i, c in enumerate(F.coeffs):
-            cw = field.coerce(c) * wp
-            for j in range(d):
-                coords[j][i] = cw.coeffs[j]
+            for j, cj in enumerate((field.coerce(c) * wp).coeffs):
+                coords[j][i] = cj
             wp = wp * w
         g = Poly(QQ, ())
         for vec in coords:

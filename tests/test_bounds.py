@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from rittkit import ConstantExpr, bound_c, bound_c1, compare
@@ -90,3 +92,33 @@ def test_invalid_arguments():
         bound_c1(1, 2)
     with pytest.raises(Exception):
         bound_c(2, 0)
+
+
+def test_compare_never_picks_a_side_a_clamp_hides():
+    # 2^(2^2000000) > 3^(2^1500000), but both exponents pass the 2^1000
+    # clamp of the log2 bounds; the answer must not be -1
+    two, three = ConstantExpr.integer(2), ConstantExpr.integer(3)
+    a = ConstantExpr.power(
+        two, ConstantExpr.power(two, ConstantExpr.integer(2000000)))
+    b = ConstantExpr.power(
+        three, ConstantExpr.power(two, ConstantExpr.integer(1500000)))
+    assert compare(a, b) in (1, None)
+    assert compare(b, a) in (-1, None)
+
+
+@pytest.mark.parametrize("d, n", [(2, 5), (5, 4), (5, 5)])
+def test_bound_c_keeps_max_it_cannot_decide(d, n):
+    # c(d,n) = max(c(d,n-1)^(n-1), d^c1(d,n) / 2): the right branch is far
+    # larger, so the left one (a power node) would be a wrong answer
+    v = bound_c(d, n)
+    assert v.kind in ("max", "half")
+    lo, hi = v.log2_bounds()
+    assert lo <= hi
+
+
+def test_log2_bounds_of_huge_exact_exponent():
+    e = ConstantExpr.integer(2 ** 5000 + 1)
+    p = ConstantExpr(kind="pow", children=(ConstantExpr.integer(5), e))
+    lo, hi = p.log2_bounds()
+    assert lo == 2.0 ** 1000 * math.log2(5) and hi == float("inf")
+    assert e.log2_bounds() == (5000.0, 5001.0)

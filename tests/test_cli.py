@@ -1,14 +1,22 @@
 import io
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import random_poly, rng_for
 
+import rittkit
 from rittkit import QQ, BivarPoly, Poly, cyclotomic_field, parse_bivar, parse_poly
 from rittkit.cli import run_command
+from rittkit.errors import ParseError, ResourceCapError
+from rittkit.parser import MAX_NESTING, POWER_BITS_CAP
+from rittkit.poly import DEGREE_CAP
 
 
 def run(argv):
@@ -165,3 +173,69 @@ def test_invalid_cap_and_count_flags_rejected(argv, message):
     code, out = run(argv)
     assert code == 2
     assert message in out
+
+
+# -- hostile input ends in its documented exit code, in a fresh interpreter
+
+SRC = str(Path(rittkit.__file__).resolve().parent.parent)
+
+
+def run_cli_limited(argv, limit_s=10):
+    """Run the CLI in a subprocess; fail the test if it runs past limit_s."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "rittkit.cli", *argv],
+                          env=env, timeout=limit_s, capture_output=True,
+                          text=True)
+
+
+def test_huge_exponent_hits_degree_cap():
+    out = run_cli_limited(["classify", "--f", "x^99999999"])
+    assert out.returncode == 3
+    assert "DEGREE_CAP = 10000" in out.stdout
+
+
+def test_huge_constant_power_hits_size_cap():
+    out = run_cli_limited(["classify", "--f", "x^2 + 2^99999999"])
+    assert out.returncode == 3
+    assert f"POWER_BITS_CAP = {POWER_BITS_CAP}" in out.stdout
+
+
+@pytest.mark.parametrize("order", ["1001", "100003", "99999999999"])
+def test_huge_cyclotomic_order_hits_field_cap(order):
+    out = run_cli_limited(["classify", "--field", f"Q(zeta {order})",
+                           "--f", "z*x^2"])
+    assert out.returncode == 3
+    assert "CYCLOTOMIC_DEGREE_CAP = 256" in out.stdout
+
+
+def test_deep_parentheses_are_a_parse_error():
+    depth = 1000
+    out = run_cli_limited(["classify", "--f", "(" * depth + "x" + ")" * depth])
+    assert out.returncode == 2
+    assert "error: parse" in out.stdout and "position: 100" in out.stdout
+
+
+def test_bound_c_5_5_prints_symbolic_value():
+    out = run_cli_limited(["bound-c", "5", "5"])
+    assert out.returncode == 0
+    assert "exact: false" in out.stdout
+    assert out.stdout.startswith("command: bound-c\nvalue: ")
+
+
+def test_parser_limits_in_process():
+    depth = MAX_NESTING
+    assert parse_poly("(" * depth + "x" + ")" * depth) == Poly.x(QQ)
+    with pytest.raises(ParseError):
+        parse_poly("(" * (depth + 1) + "x" + ")" * (depth + 1))
+    assert parse_poly(f"x^{DEGREE_CAP}") == Poly.monomial(QQ, DEGREE_CAP)
+    with pytest.raises(ResourceCapError):
+        parse_bivar(f"(x + y)^{DEGREE_CAP + 1}")
+    assert parse_poly("(x + 1)^13") == Poly.make(QQ, [1, 1]) ** 13
+    assert parse_poly("(2*x - 1/3)^0") == Poly.constant(QQ, 1)
+    assert parse_poly("2^99999") == Poly.constant(QQ, 2 ** 99999)
+    with pytest.raises(ResourceCapError):
+        parse_poly("(1/3)^199999")
+    K = cyclotomic_field(5)
+    assert parse_poly("z^99999999", K) == Poly.constant(K, K.zeta() ** 4)
+    with pytest.raises(ResourceCapError):
+        parse_poly("(1 + z)^99999999", K)

@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
+import pytest
 import sympy
 from conftest import random_poly, rng_for
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 
 import rittkit
 from rittkit import QQ, CycElem, Poly, compose, cyclotomic_field, poly_gcd
-from rittkit.field import KRONECKER_MIN_LEN, cyclotomic_polynomial, dense_mul
+from rittkit.field import (KRONECKER_MIN_LEN, cyclotomic_polynomial, dense_mul,
+                          euler_phi, int_pseudo_divmod)
 from rittkit.poly import _rev_compose_trunc, _rev_trunc, poly_divmod
 from rittkit.roots import rational_roots
 
@@ -68,6 +71,150 @@ def test_from_vector_reduces_mod_phi(data, m):
     assert CycElem.from_vector(K, vec) == CycElem(K, rem)
 
 
+# -- CycElem, integer numerators over one denominator, against Fractions
+
+class RefCyc:
+    """Reference element of Q(zeta m): a list of Fractions, reduced by
+    Fraction long division modulo Phi_m and inverted by Gaussian
+    elimination on the multiplication matrix."""
+
+    def __init__(self, m, vec):
+        phi = cyclotomic_polynomial(m)
+        d = len(phi) - 1
+        v = [Fraction(c) for c in vec]
+        for k in range(len(v) - 1, d - 1, -1):      # Phi_m is monic
+            c = v[k]
+            for j in range(d + 1):
+                v[k - d + j] -= c * phi[j]
+        self.m = m
+        self.v = (v + [Fraction(0)] * d)[:d]
+
+    def __add__(self, o):
+        return RefCyc(self.m, [a + b for a, b in zip(self.v, o.v)])
+
+    def __sub__(self, o):
+        return RefCyc(self.m, [a - b for a, b in zip(self.v, o.v)])
+
+    def __mul__(self, o):
+        out = [Fraction(0)] * (2 * len(self.v) - 1)
+        for i, a in enumerate(self.v):
+            for j, b in enumerate(o.v):
+                out[i + j] += a * b
+        return RefCyc(self.m, out)
+
+    def __pow__(self, e):
+        out = RefCyc(self.m, [1])
+        for _ in range(abs(e)):
+            out = out * self
+        return out.inverse() if e < 0 else out
+
+    def inverse(self):
+        d = len(self.v)
+        cols, cur = [], self
+        for _ in range(d):                          # columns: self * t^i
+            cols.append(cur.v)
+            cur = cur * RefCyc(self.m, [0, 1])
+        rows = [[cols[i][r] for i in range(d)] + [Fraction(r == 0)]
+                for r in range(d)]
+        for c in range(d):
+            p = next(r for r in range(c, d) if rows[r][c])
+            rows[c], rows[p] = rows[p], rows[c]
+            rows[c] = [x / rows[c][c] for x in rows[c]]
+            for r in range(d):
+                if r != c and rows[r][c]:
+                    f = rows[r][c]
+                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+        return RefCyc(self.m, [row[d] for row in rows])
+
+
+cyc_orders = st.sampled_from([3, 4, 5, 7, 8, 12, 15])
+wide_q = st.one_of(
+    st.just(Fraction(0)),
+    small_q,
+    st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70),
+              st.integers(1, 2 ** 64)),
+    st.builds(Fraction, st.integers(-9, 9),
+              st.sampled_from([2 ** 64, 3 ** 40])))
+
+
+def assert_matches(x, ref):
+    """x equals ref, in canonical (nums, den) form, read back as Fractions."""
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+    assert len(x.nums) == len(ref.v)
+    assert all(type(c) is Fraction for c in x.coeffs)
+    assert x.coeffs == tuple(ref.v)
+    twin = CycElem(x.field, ref.v)
+    assert x == twin and hash(x) == hash(twin)
+    assert (x.nums, x.den) == (twin.nums, twin.den)
+
+
+@KERNEL
+@given(data=st.data(), m=cyc_orders)
+def test_cyc_elem_matches_fraction_reference(data, m):
+    K = cyclotomic_field(m)
+    vecs = [data.draw(st.lists(wide_q, min_size=K.degree, max_size=K.degree))
+            for _ in range(2)]
+    a, b = (CycElem(K, v) for v in vecs)
+    ra, rb = (RefCyc(m, v) for v in vecs)
+    assert_matches(a, ra)
+    assert_matches(a + b, ra + rb)
+    assert_matches(a - b, ra - rb)
+    assert_matches(a * b, ra * rb)
+    assert_matches(a * a, ra * ra)
+    e = data.draw(st.integers(0, 4))
+    assert_matches(a ** e, ra ** e)
+    long = data.draw(st.lists(wide_q, max_size=3 * K.degree))
+    assert_matches(CycElem.from_vector(K, long), RefCyc(m, long))
+    if a:
+        assert_matches(a.inverse(), ra.inverse())
+        assert_matches(a ** -2, ra ** -2)
+        assert_matches(1 / a, ra.inverse())
+        assert_matches(b / a, rb * ra.inverse())
+
+
+@KERNEL
+@given(data=st.data(), m=cyc_orders)
+def test_cyc_elem_equal_values_hash_equal(data, m):
+    K = cyclotomic_field(m)
+    va, vb = (data.draw(st.lists(wide_q, min_size=K.degree,
+                                 max_size=K.degree)) for _ in range(2))
+    a, b = CycElem(K, va), CycElem(K, vb)
+    r = data.draw(wide_q)
+    same = [(a + b) - b, CycElem.from_vector(K, va + [0] * K.degree),
+            -(-a), a * 1]
+    if b:
+        same.append(a * b * b.inverse())
+    for x in same:
+        assert x == a and hash(x) == hash(a)
+        assert (x.nums, x.den) == (a.nums, a.den)
+    ra = K.coerce(r)
+    assert ra == r and ra.as_rational() == r
+    assert (a == b) == (a.coeffs == b.coeffs)
+
+
+@pytest.mark.parametrize("m", [60, 211])
+def test_cyc_elem_inverse_large_order(m):
+    K = cyclotomic_field(m)
+    rng = rng_for(f"kernel-inverse-{m}")
+    sparse = K.coerce(Fraction(-7, 3)) + K.zeta() ** (m // 2 + 1)
+    short = CycElem(K, [2 ** 64 + 13, -(2 ** 63) - 5, 3 ** 40]
+                    + [0] * (K.degree - 3))
+    for x in (sparse, short,
+              CycElem(K, [rng.randint(-3, 3) for _ in range(K.degree)]),
+              CycElem(K, [Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                          for _ in range(K.degree)])):
+        y = x.inverse()
+        assert x * y == 1 and y * x == K.one()
+    assert sparse.inverse().inverse() == sparse
+
+
+def test_euler_phi_bounds_the_order():
+    for m in range(1, 3000):
+        phi = euler_phi(m)
+        assert phi == int(sympy.totient(m))
+        assert 2 * phi * phi >= m           # so m > 2*cap^2 needs no factoring
+
+
 @KERNEL
 @given(data=st.data(), field=st.sampled_from([QQ, cyclotomic_field(5)]))
 def test_poly_divmod_identity(data, field):
@@ -76,6 +223,24 @@ def test_poly_divmod_identity(data, field):
     q, r = poly_divmod(a, b)
     assert q * b + r == a
     assert r.degree < b.degree
+
+
+big_ints = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
+
+
+@KERNEL
+@given(a=st.lists(big_ints, min_size=1, max_size=30),
+       b=st.lists(big_ints, min_size=0, max_size=5),
+       lead=big_ints.filter(bool))
+def test_int_pseudo_divmod_identity(a, b, lead):
+    b = b + [lead]
+    f, q, r = int_pseudo_divmod(a, b)
+    lhs = [f * x for x in a]
+    rhs = dense_mul(q, b, 0) if q else []
+    rhs = [x + y for x, y in zip(rhs + [0] * len(lhs), r + [0] * len(lhs))]
+    assert rhs[:len(lhs)] == lhs and not any(rhs[len(lhs):])
+    assert len(r) < len(b) and (not r or r[-1])
+    assert f and lead ** max(0, len(a) - len(b) + 1) % f == 0
 
 
 @KERNEL
