@@ -123,14 +123,6 @@ class BivarPoly:
     def scale(self, c) -> "BivarPoly":
         return BivarPoly.make(self.field, [r.scale(c) for r in self.rows])
 
-    def eval_y(self, y0) -> Poly:
-        """Specialize y, leaving a Poly in x."""
-        y0 = self.field.coerce(y0)
-        acc = Poly(self.field, ())
-        for r in reversed(self.rows):
-            acc = acc.scale(y0) + r
-        return acc
-
     def eval_x(self, x0) -> Poly:
         """Specialize x, leaving a Poly in y."""
         return Poly.make(self.field, [r.evaluate(x0) for r in self.rows])
@@ -359,10 +351,6 @@ class BivarCurve:
             if lead is not None:
                 break
         return BivarCurve(poly.field, poly.scale(poly.field.one() / lead))
-
-    @staticmethod
-    def from_poly_in_x(p: Poly) -> "BivarCurve":
-        return BivarCurve.make(BivarPoly.from_univar(p, "x"))
 
     @property
     def deg_x(self) -> int:

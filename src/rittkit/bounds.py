@@ -2,8 +2,8 @@
 
 Values are kept as exact integers while they fit in EXACT_BIT_THRESHOLD
 bits and become symbolic expression trees (add, mul, pow, max, half)
-beyond that.  A halving node only evaluates when its child is provably
-even; otherwise it stays symbolic and carries its meaning as data.
+beyond that.  A halving node evaluates only when its child is an exact
+even integer; otherwise it stays symbolic and carries its meaning as data.
 """
 
 from __future__ import annotations
@@ -74,37 +74,11 @@ class ConstantExpr:
     def half(a: "ConstantExpr") -> "ConstantExpr":
         if a.is_exact() and a.value % 2 == 0:
             return ConstantExpr.integer(a.value // 2)
-        if a.parity() == 0:
-            # provably even but symbolic: keep the node, evaluation blocked
-            return ConstantExpr(HALF, children=(a,))
         return ConstantExpr(HALF, children=(a,))
 
     # -- structure ---------------------------------------------------------
     def is_exact(self) -> bool:
         return self.kind == INT
-
-    def parity(self) -> int | None:
-        """0 even, 1 odd, None unknown."""
-        if self.kind == INT:
-            return self.value % 2
-        if self.kind == MUL:
-            ps = [c.parity() for c in self.children]
-            if 0 in ps:
-                return 0
-            if all(p == 1 for p in ps):
-                return 1
-            return None
-        if self.kind == ADD:
-            ps = [c.parity() for c in self.children]
-            if None in ps:
-                return None
-            return sum(ps) % 2
-        if self.kind == POW:
-            base, exp = self.children
-            if exp.is_exact() and exp.value == 0:
-                return 1
-            return base.parity()
-        return None
 
     def log2_bounds(self) -> tuple:
         """(lo, hi) with lo <= log2(value) <= hi, up to float rounding.

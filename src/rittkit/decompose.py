@@ -14,7 +14,7 @@ from .errors import (FieldExtensionRequiredError, HypothesisViolationError,
                      ResourceCapError, RittKitError)
 from .field import nth_roots
 from .poly import (LinearPoly, Poly, _rev_compose_trunc, _rev_trunc, compose,
-                   poly_nth_root, solve_top_down)
+                   power_form, solve_top_down)
 
 DECOMP_DEGREE_CAP = 64
 
@@ -261,23 +261,25 @@ class PowerFormSplit:
     gcd_k_ok: bool
 
 
+def _scaled_root(R: Poly, lead, n: int, message: str) -> Poly:
+    """The in-field n-th root R.scale(a) of lead*R^n with the first a."""
+    roots = nth_roots(lead, n, R.field)
+    if not roots:
+        raise FieldExtensionRequiredError(message, equation=f"t^{n} = {lead}")
+    return R.scale(roots[0])
+
+
 def verify_power_form(F: Poly, s: int, n: int) -> Poly:
     """The P with F = x^s P(x)^n, P(0) != 0; raises if there is none."""
     if F.is_zero() or F.multiplicity_at_zero() != s:
         raise HypothesisViolationError(
             "composition does not vanish to order s at 0")
-    Q = Poly(F.field, F.coeffs[s:])
-    if Q.degree % n:
-        raise HypothesisViolationError("degree of F/x^s not divisible by n")
-    for lead in nth_roots(Q.leading(), n, F.field):
-        P = poly_nth_root(Q, n, lead)
-        if P is not None:
-            if not P.constant_term():
-                raise HypothesisViolationError("P(0) = 0")
-            return P
-    raise FieldExtensionRequiredError(
-        "F/x^s is an n-th power only after a field extension",
-        equation=f"t^{n} = {Q.leading()}")
+    split = power_form(F, n)
+    if split is None:
+        raise HypothesisViolationError(
+            "F/x^s is not an n-th power over any field")
+    return _scaled_root(split[1], F.leading(), n,
+                        "F/x^s is an n-th power only after a field extension")
 
 
 def decompose_power_form(A: Poly, B: Poly, s: int, n: int) -> PowerFormSplit:
@@ -292,40 +294,27 @@ def decompose_power_form(A: Poly, B: Poly, s: int, n: int) -> PowerFormSplit:
     F = compose(A, B)
     verify_power_form(F, s, n)
 
-    C = B - B.constant_term()
-    k = C.multiplicity_at_zero()
-    Q = Poly(field, C.coeffs[k:])
-    if Q.degree % n:
+    inner = power_form(B - B.constant_term(), n)
+    if inner is None:
         raise HypothesisViolationError(
             "inner factor does not fit the x^k P2(x)^n shape")
-    R = poly_nth_root(Q.monic(), n, 1)
-    if R is None:
-        raise HypothesisViolationError(
-            "inner factor does not fit the x^k P2(x)^n shape")
-    alpha = Q.leading() ** (n - 1)
-    P2 = R.scale(Q.leading())
+    k, R = inner
+    alpha = B.leading() ** (n - 1)
+    P2 = R.scale(B.leading())
     ell = LinearPoly.make(field, alpha, -alpha * B.constant_term())
     W = compose(ell.to_poly(), B)
     if W != Poly.monomial(field, k) * P2 ** n:
         raise RittKitError("inner normal form verification failed")
 
     D = left_factor_solve(F, W)
-    if D is None or D.constant_term():
+    outer = None if D is None or D.constant_term() else power_form(D, n)
+    if outer is None:
         raise HypothesisViolationError(
             "outer factor does not fit the x^j P1(x)^n shape")
-    j = D.multiplicity_at_zero()
-    Q1 = Poly(field, D.coeffs[j:])
-    P1 = None
-    for lead in nth_roots(Q1.leading(), n, field):
-        P1 = poly_nth_root(Q1, n, lead)
-        if P1 is not None:
-            break
-    if P1 is None:
-        raise FieldExtensionRequiredError(
-            "outer P1 requires an n-th root outside the field",
-            equation=f"t^{n} = {Q1.leading()}")
-    outer = Poly.monomial(field, j) * P1 ** n
-    if compose(outer, ell.to_poly()) != A:
+    j, R1 = outer
+    P1 = _scaled_root(R1, D.leading(), n,
+                      "outer P1 requires an n-th root outside the field")
+    if compose(Poly.monomial(field, j) * P1 ** n, ell.to_poly()) != A:
         raise RittKitError("outer normal form verification failed")
     return PowerFormSplit(j=j, k=k, P1=P1, P2=P2, ell=ell,
                           gcd_j_ok=gcd(j, n) == 1,

@@ -496,22 +496,13 @@ def _int_nth_root(x: int, n: int):
         raise ValueError
     if x in (0, 1):
         return x
-    r = round(x ** (1.0 / n))
-    for cand in (r - 1, r, r + 1, r + 2):
-        if cand >= 0 and cand ** n == x:
-            return cand
-    # float guess can be off for big x; fall back to bisection
-    lo, hi = 0, 1 << (x.bit_length() // n + 2)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        p = mid ** n
-        if p == x:
-            return mid
-        if p < x:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    # integer Newton from 2^ceil(bits/n) >= x^(1/n) descends to the floor root
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        y = ((n - 1) * r + x // r ** (n - 1)) // n
+        if y >= r:
+            return r if r ** n == x else None
+        r = y
 
 
 def rational_nth_roots(c: Fraction, n: int) -> list:

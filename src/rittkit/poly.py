@@ -132,12 +132,6 @@ class Poly:
         return Poly.make(self.field,
                          [i * c for i, c in enumerate(self.coeffs)][1:] or [0])
 
-    def shift_degree(self, k: int) -> "Poly":
-        """Multiply by x^k (k >= 0)."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, (self.field.zero(),) * k + self.coeffs)
-
     def multiplicity_at_zero(self) -> int:
         if self.is_zero():
             raise RittKitError("zero polynomial")
@@ -411,6 +405,19 @@ def poly_nth_root(F: Poly, n: int, lead_root) -> Poly | None:
         field, lead_root, e, e, n * field.coerce(lead_root) ** (n - 1),
         lambda h, j: top[j] - _rev_compose_trunc(xn, h, j)[j])
     return cand if cand ** n == F else None
+
+
+def power_form(F: Poly, n: int) -> tuple | None:
+    """(s, R) with F = lc(F)*x^s*R(x)^n, R monic and R(0) != 0, or None.
+
+    The n-th roots of F/x^s over the closure are a*R with a^n = lc(F), so
+    its in-field roots are R.scale(a) for a in nth_roots(lc(F), n).
+    """
+    if F.is_zero():
+        return None
+    s = F.multiplicity_at_zero()
+    R = poly_nth_root(Poly(F.field, F.coeffs[s:]).monic(), n, 1)
+    return None if R is None else (s, R)
 
 
 def squarefree_part(F: Poly) -> Poly:

@@ -8,14 +8,15 @@ search is bounded and certificate producing, never a decision procedure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 from math import gcd
 
 from .decompose import right_factor_solve
 from .errors import (FieldExtensionRequiredError, HypothesisViolationError,
                      ResourceCapError, RittKitError)
 from .field import nth_roots
-from .poly import (LinearPoly, Poly, _rev_compose_trunc, compose, iterate,
-                   poly_nth_root, power_shape, solve_top_down)
+from .poly import (LinearPoly, Poly, _rev_compose_trunc, compose, conjugate,
+                   iterate, power_form, power_shape, solve_top_down)
 from .roots import in_field_roots
 
 DEFAULT_N_MAX = 4
@@ -100,12 +101,10 @@ class InouNormalForm:
 
     def verify(self, w: SemiconjWitness) -> bool:
         field = self.P.field
-        f_t = compose(self.ell1.to_poly(),
-                      compose(w.f, self.ell1.inverse().to_poly()))
+        f_t = conjugate(self.ell1, w.f)
         p_t = compose(self.ell1.to_poly(),
                       compose(w.p, self.ell2.inverse().to_poly()))
-        eta_t = compose(self.ell2.to_poly(),
-                        compose(w.eta, self.ell2.inverse().to_poly()))
+        eta_t = conjugate(self.ell2, w.eta)
         rhs_f = Poly.monomial(field, self.c) * self.P ** self.b
         rhs_eta = Poly.monomial(field, self.c) * compose(
             self.P, Poly.monomial(field, self.b))
@@ -140,7 +139,7 @@ def inou_normal_form(w: SemiconjWitness) -> InouNormalForm:
         w0 = fixed[0]
         ell1 = LinearPoly.make(field, 1, -w0)
         ell2 = LinearPoly.from_poly(compose(ell1.to_poly(), p))
-        f_t = compose(ell1.to_poly(), compose(f, ell1.inverse().to_poly()))
+        f_t = conjugate(ell1, f)
         c = f_t.multiplicity_at_zero()
         P = Poly(field, f_t.coeffs[c:])
         nf = InouNormalForm(ell1, ell2, 1, c, P,
@@ -162,31 +161,25 @@ def inou_normal_form(w: SemiconjWitness) -> InouNormalForm:
     ell2 = LinearPoly.make(field, 1, t)
     ell1 = LinearPoly.make(field, field.one() / p.leading(),
                            -B / p.leading())
-    f_t = compose(ell1.to_poly(), compose(f, ell1.inverse().to_poly()))
+    f_t = conjugate(ell1, f)
     if f_t.constant_term():
         raise HypothesisViolationError(
             "conjugated f does not vanish at the origin")
-    c = f_t.multiplicity_at_zero()
-    Q = Poly(field, f_t.coeffs[c:])
-    if Q.degree % b:
+    split = power_form(f_t, b)
+    if split is None:
         raise HypothesisViolationError("f does not have the x^c P(x)^b shape")
-    eta_t = compose(ell2.to_poly(), compose(eta, ell2.inverse().to_poly()))
-    P = None
-    for lead in nth_roots(Q.leading(), b, field):
-        cand = poly_nth_root(Q, b, lead)
-        if cand is None:
-            continue
-        rhs_eta = Poly.monomial(field, c) * compose(
-            cand, Poly.monomial(field, b))
-        if eta_t == rhs_eta:
-            P = cand
-            break
-        if P is None:
-            P = cand  # keep a root even if eta picks another unity twist
-    if P is None:
+    c, R = split
+    roots = [R.scale(a) for a in nth_roots(f_t.leading(), b, field)]
+    if not roots:
         raise FieldExtensionRequiredError(
             "P requires a b-th root outside the field",
-            equation=f"t^{b} = {Q.leading()}")
+            equation=f"t^{b} = {f_t.leading()}")
+    # eta picks the unity twist; keep the first root if it matches none
+    eta_t = conjugate(ell2, eta)
+    xb = Poly.monomial(field, b)
+    P = next((cand for cand in roots
+              if eta_t == Poly.monomial(field, c) * compose(cand, xb)),
+             roots[0])
     nf = InouNormalForm(ell1, ell2, b, c, P,
                         congruence_flag=(c - b) % delta == 0,
                         detail={"c_mod_delta": c % delta,
@@ -213,28 +206,23 @@ class CommonWitness:
 def _power_shape_etas(F: Poly, deg_cap: int):
     """Candidate (p, eta) with F o p = p o eta from fixed-point power shapes."""
     field = F.field
-    out = []
     for w0 in in_field_roots(F - Poly.x(field)):
-        shifted = compose(Poly.make(field, [-w0, 1]),
-                          compose(F, Poly.make(field, [w0, 1])))
-        if not shifted.coeffs or shifted.constant_term():
+        shifted = conjugate(LinearPoly.make(field, 1, -w0), F)
+        if shifted.constant_term():
             continue
-        c = shifted.multiplicity_at_zero()
-        Q = Poly(field, shifted.coeffs[c:])
         for b in range(2, deg_cap + 1):
-            if Q.degree % b:
+            split = power_form(shifted, b)
+            if split is None:
                 continue
-            for lead in nth_roots(Q.leading(), b, field):
-                P = poly_nth_root(Q, b, lead)
-                if P is None:
-                    continue
-                eta = Poly.monomial(field, c) * compose(
-                    P, Poly.monomial(field, b))
-                p = Poly.monomial(field, b) + Poly.constant(field, w0)
-                if compose(F, p) == compose(p, eta):
-                    out.append((p, eta))
-                break
-    return out
+            c, R = split
+            leads = nth_roots(shifted.leading(), b, field)
+            if not leads:
+                continue
+            xb = Poly.monomial(field, b)
+            eta = Poly.monomial(field, c) * compose(R.scale(leads[0]), xb)
+            p = xb + Poly.constant(field, w0)
+            if compose(F, p) == compose(p, eta):
+                yield p, eta
 
 
 def common_semiconjugate(f: Poly, g: Poly,
@@ -252,45 +240,33 @@ def common_semiconjugate(f: Poly, g: Poly,
         raise RittKitError("need equal degrees >= 2")
     if not classify(f).disintegrated or not classify(g).disintegrated:
         raise HypothesisViolationError("both inputs must be disintegrated")
-    field = f.field
+    x = Poly.x(f.field)
     for N in range(1, N_max + 1):
         try:
             fN, gN = iterate(f, N), iterate(g, N)
         except ResourceCapError:
             break
-        candidates = []
-        # direct routes: eta is one side's iterate
-        candidates.append((gN, "p"))
-        candidates.append((fN, "q"))
-        for eta, side in candidates:
+        # A route (F, eta, other, flip) solves F o s = s o eta and pairs s
+        # with other; flip puts s on the g side.  The direct routes take
+        # eta as one side's iterate; the power-shape routes, tried only
+        # after both fail, take it from a fixed-point power shape of the
+        # other side's iterate.
+        routes = chain(
+            ((fN, gN, x, False), (gN, fN, x, True)),
+            ((gN, eta, p, True) for p, eta in _power_shape_etas(fN, deg_cap)),
+            ((fN, eta, q, False) for q, eta in _power_shape_etas(gN, deg_cap)))
+        for F, eta, other, flip in routes:
             try:
-                sols = solve_p(fN if side == "p" else gN, eta, deg_cap)
+                sols = solve_p(F, eta, deg_cap)
             except (FieldExtensionRequiredError, ResourceCapError):
-                sols = []
-            if sols:
-                sols.sort(key=lambda s: s.degree)
-                if side == "p":
-                    wit = CommonWitness(N, eta, sols[0], Poly.x(field))
-                else:
-                    wit = CommonWitness(N, eta, Poly.x(field), sols[0])
-                if wit.verify(f, g):
-                    return wit
-        # fixed-point power-shape routes on either side
-        for F, G, flip in ((fN, gN, False), (gN, fN, True)):
-            for p_cand, eta in _power_shape_etas(F, deg_cap):
-                try:
-                    sols = solve_p(G, eta, deg_cap)
-                except (FieldExtensionRequiredError, ResourceCapError):
-                    sols = []
-                if not sols:
-                    continue
-                sols.sort(key=lambda s: s.degree)
-                if flip:
-                    wit = CommonWitness(N, eta, sols[0], p_cand)
-                else:
-                    wit = CommonWitness(N, eta, p_cand, sols[0])
-                if wit.verify(f, g):
-                    return wit
+                continue
+            if not sols:
+                continue
+            s = min(sols, key=lambda h: h.degree)
+            wit = (CommonWitness(N, eta, other, s) if flip
+                   else CommonWitness(N, eta, s, other))
+            if wit.verify(f, g):
+                return wit
     return None
 
 
@@ -320,7 +296,8 @@ def approx_classes(fs, N_max: int = DEFAULT_N_MAX,
 
     for i in range(n):
         for j in range(i + 1, n):
-            if find(i) == find(j):
+            # f^N and g^N can share a semiconjugate only at equal degree
+            if find(i) == find(j) or fs[i].degree != fs[j].degree:
                 continue
             wit = common_semiconjugate(fs[i], fs[j], N_max, deg_cap)
             if wit is not None:

@@ -15,7 +15,8 @@ from .bivar import affine_substitution_coeffs
 from .decompose import equal_degree_linear
 from .errors import HypothesisViolationError, ResourceCapError, RittKitError
 from .field import roots_of_unity, scalar_sort_key
-from .poly import LinearPoly, Poly, compose, iterate, poly_divmod, poly_gcd
+from .poly import (LinearPoly, Poly, compose, conjugate, iterate, poly_divmod,
+                   poly_gcd)
 from .roots import in_field_roots
 
 INFINITE = "Infinite"
@@ -263,8 +264,6 @@ def align_iterates(f: Poly, g: Poly, L: LinearPoly, n: int):
     if best is None:
         raise RittKitError("no collision among the peeled linear maps")
     N, _, ell = best
-    conj = compose(ell.to_poly(),
-                   compose(g, ell.inverse().to_poly()))
-    if iterate(f, N) != iterate(conj, N):
+    if iterate(f, N) != iterate(conjugate(ell, g), N):
         raise RittKitError("alignment certificate failed verification")
     return ell, N

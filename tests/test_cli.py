@@ -239,3 +239,64 @@ def test_parser_limits_in_process():
     assert parse_poly("z^99999999", K) == Poly.constant(K, K.zeta() ** 4)
     with pytest.raises(ResourceCapError):
         parse_poly("(1 + z)^99999999", K)
+
+
+# Success paths of the subcommands the README examples do not run, with the
+# escape branch of preperiodic and the collapsed-image exit.
+SUCCESS_PATHS = [
+    (["engstrom", "--a", "x^2 + 1", "--b", "x^6 + x^3",
+      "--c", "x^4 + 2*x^3 + x^2 + 1", "--d", "x^3"],
+     "command: engstrom\ng: x^2 + 1\nh: x^3\na_hat: x\nb_hat: x^2 + x\n"
+     "c_hat: x^2 + x\nd_hat: x\nell: absent\nverified: true\n"),
+    (["semiconj-check", "--f", "x^3*(x + 1)^2", "--p", "x^2",
+      "--eta", "x^5 + x^3"],
+     "command: semiconj-check\nholds: true\n"),
+    (["solve-p", "--f", "x^3*(x + 1)^2", "--eta", "x^5 + x^3",
+      "--deg-bound", "3"],
+     "command: solve-p\nsolutions: 1\n  - x^2\n"),
+    (["common-semiconj", "--f", "x*(x^3 + 1)^2", "--g", "x*(x^2 + 1)^3",
+      "--nmax", "1", "--deg-cap", "3"],
+     "command: common-semiconj\nN: 1\neta: x^7 + x\np: x^2\nq: x^3\n"
+     "verified: true\n"),
+    (["common-semiconj", "--f", "x^2 + 1", "--g", "x^2 + 2",
+      "--nmax", "1", "--deg-cap", "4"],
+     "command: common-semiconj\nwitness: absent at caps\n"),
+    (["approx-classes", "--f", "x*(x^3 + 1)^2", "--f", "x*(x^2 + 1)^3",
+      "--nmax", "1", "--deg-cap", "3"],
+     "command: approx-classes\nclasses: 1\n  - 0,1\n"
+     "class_0_theta: x^7 + x\nclass_0_N: 1\n  class_0_p_0: x^2\n"
+     "  class_0_p_1: x^3\n"),
+    (["curve-image", "--curve", "y - x^2", "--f", "x^2", "--g", "x^2"],
+     "command: curve-image\nimage: -y + x^2\n"),
+    (["curve-image", "--curve", "1", "--f", "x^2", "--g", "x^2"],
+     "command: curve-image\nresult: collapsed\nmessage: image is not a curve\n"),
+    (["bound-c1", "2", "2"],
+     "command: bound-c1\nvalue: 32\nexact: true\ntrace: \n"
+     "  - c1(2,2) = 32\n"),
+    (["return-set", "--f1", "x^2", "--f2", "x^2", "--alpha", "2,2",
+      "--curve", "y - x", "--n", "4"],
+     "command: return-set\nindices: 0,1,2,3,4\ntruncated_at: none\n"),
+    (["progressions", "--set", "1,3,5,7,9", "--horizon", "10"],
+     "command: progressions\nprogressions: 1\n  - {1 + 2k}\n"),
+    (["preperiodic", "--f", "x^2 + 1", "--a", "0", "--n", "10"],
+     "command: preperiodic\nkind: Escape\nindex: 3\nradius: 3\nvalue: 5\n"
+     "verified: true\n"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", SUCCESS_PATHS,
+                         ids=[" ".join(a[:2]) for a, _ in SUCCESS_PATHS])
+def test_subcommand_success_paths(argv, stdout):
+    assert run(argv) == (0, stdout)
+
+
+def test_approx_classes_unequal_degrees():
+    code, out = run(["approx-classes", "--f", "x^2 + 1", "--f", "x^5 + x^3"])
+    assert code == 0
+    assert "classes: 2\n  - 0\n  - 1\n" in out
+
+
+def test_classify_coefficient_beyond_float_range():
+    out = run_cli_limited(["classify", "--f", "2^1100*x^2"])
+    assert out.returncode == 0
+    assert out.stdout.startswith("command: classify\n")

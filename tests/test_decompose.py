@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import pytest
 from conftest import random_poly, rng_for
 
-from rittkit import (QQ, Poly, chebyshev, complete_decompositions, compose,
+from rittkit import (QQ, FieldExtensionRequiredError, HypothesisViolationError,
+                     Poly, chebyshev, complete_decompositions, compose,
                      decompose_power_form, engstrom_refine, left_factor_solve,
                      right_factor_solve)
 from rittkit.decompose import normalized_right_factor, verify_power_form
@@ -114,6 +116,18 @@ def test_verify_power_form():
     # F = x^2 (x + 1)^3
     F = P(0, 0, 1) * P(1, 1) ** 3
     assert verify_power_form(F, 2, 3) == P(1, 1)
+
+
+def test_power_form_errors():
+    # x^3 + x + 1 is not a cube over any field
+    F = P(0, 0, 1) * P(1, 1, 0, 1)
+    with pytest.raises(HypothesisViolationError):
+        verify_power_form(F, 2, 3)
+    with pytest.raises(HypothesisViolationError):
+        decompose_power_form(F, X, 2, 3)
+    # 2 (x + 1)^3 is a cube only after adjoining the cube root of 2
+    with pytest.raises(FieldExtensionRequiredError):
+        verify_power_form(P(0, 0, 2) * P(1, 1) ** 3, 2, 3)
 
 
 def test_decompose_power_form_example():

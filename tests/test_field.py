@@ -89,6 +89,13 @@ def test_rational_nth_roots():
     assert rational_nth_roots(Fraction(-4), 2) == []
 
 
+def test_rational_nth_roots_beyond_float_range():
+    assert rational_nth_roots(Fraction(2 ** 1100), 2) == [2 ** 550, -2 ** 550]
+    assert rational_nth_roots(Fraction(3 ** 700, 2 ** 1400), 7) == [
+        Fraction(3 ** 100, 2 ** 200)]
+    assert rational_nth_roots(Fraction(2 ** 1100 + 1), 2) == []
+
+
 def test_nth_roots_over_cyclotomic():
     K = cyclotomic_field(8)
     roots = nth_roots(K.coerce(16), 4, K)

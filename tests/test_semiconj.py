@@ -217,3 +217,24 @@ def test_disintegration_transport():
         f, p, eta = family(c, b, Ppoly)
         if classify(f).disintegrated:
             assert classify(eta).disintegrated
+
+
+def test_common_semiconjugate_power_shape_routes():
+    # both direct routes fail; the fixed-point power shapes of each side
+    # give eta = x^7 + x with p = x^2, q = x^3
+    f = X * P(1, 0, 0, 1) ** 2            # x (x^3 + 1)^2
+    g = X * P(1, 0, 1) ** 3               # x (x^2 + 1)^3
+    eta = P(0, 1, 0, 0, 0, 0, 0, 1)
+    got = common_semiconjugate(f, g, N_max=1, deg_cap=3)
+    assert (got.N, got.eta, got.p, got.q) == (1, eta, P(0, 0, 1),
+                                              P(0, 0, 0, 1))
+    assert got.verify(f, g)
+    swapped = common_semiconjugate(g, f, N_max=1, deg_cap=3)
+    assert (swapped.N, swapped.eta, swapped.p, swapped.q) == (
+        1, eta, P(0, 0, 0, 1), P(0, 0, 1))
+    assert swapped.verify(g, f)
+
+
+def test_approx_classes_unequal_degrees_are_separate():
+    res = approx_classes([P(1, 0, 1), P(0, 0, 0, 1, 0, 1)])
+    assert res.classes == ((0,), (1,))
