@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bivar import affine_substitution_coeffs
+from .decompose import left_factor_solve
 from .errors import RittKitError
 from .field import nth_roots
 from .poly import (LinearPoly, Poly, chebyshev, compose, conjugate, poly_gcd,
@@ -153,56 +154,43 @@ def classify(f: Poly) -> ShapeReport:
         hints=tuple(hints))
 
 
+def _scale_polynomial(f: Poly, g: Poly):
+    """(G, v): the scales u of inner maps u*x + v(u) that can carry f to g.
+
+    G is the monic gcd in u of g_d * [x^i] f(u*x + v(u)) = g_i * f_d * u^d
+    for 1 <= i <= d-2, the equations of L2 o f o (u*x + v(u)) = g with L2
+    linear; v is the linear Poly forced by the x^(d-1) coefficient.  G is
+    zero when every u passes (d <= 2, or f and g cyclic).
+    """
+    fieldK = f.field
+    d = f.degree
+    alpha = g.coeff(d - 1) / (d * g.leading())
+    beta = -f.coeff(d - 1) / (d * f.leading())
+    coeffs = affine_substitution_coeffs(f, alpha, beta)
+    G = Poly(fieldK, ())
+    for i in range(1, d - 1):
+        G = poly_gcd(G, coeffs[i].scale(g.leading()) - Poly.monomial(
+            fieldK, d, g.coeff(i) * f.leading()))
+    return G, Poly.make(fieldK, [beta, alpha])
+
+
 def equivalence_witness(f: Poly, g: Poly):
     """(L1, L2) with L2 o f o L1 = g, or None."""
     if f.degree != g.degree or f.degree < 1:
         raise RittKitError("equivalence needs equal degrees >= 1")
     fieldK = f.field
-    delta = f.degree
-    if delta == 1:
-        L1 = LinearPoly.identity(fieldK)
-        a = g.coeff(1) / f.coeff(1)
-        L2 = LinearPoly.make(fieldK, a, g.coeff(0) - a * f.coeff(0))
-        return L1, L2
-    # v is linear in u, forced by the x^(delta-1) coefficient
-    alpha = g.coeff(delta - 1) / (delta * g.leading())
-    beta = -f.coeff(delta - 1) / (delta * f.leading())
-
-    def try_u(u):
+    if f.degree == 1:
+        return (LinearPoly.identity(fieldK),
+                LinearPoly.from_poly(left_factor_solve(g, f)))
+    G, v = _scale_polynomial(f, g)
+    one = fieldK.one()
+    for u in (one, -one) if G.is_zero() else in_field_roots(G):
         if not u:
-            return None
-        v = alpha * u + beta
-        L1 = LinearPoly.make(fieldK, u, v)
-        inner = compose(f, L1.to_poly())
-        p = g.leading() / inner.leading()
-        q = g.coeff(0) - p * inner.coeff(0)
-        L2 = LinearPoly.make(fieldK, p, q)
-        if compose(L2.to_poly(), inner) == g:
-            return L1, L2
-        return None
-
-    # coefficient equations E_i(u) = 0 for i = 1..delta-2 in f(u*x + v(u))
-    coeffs = affine_substitution_coeffs(f, alpha, beta)
-    eqs = []
-    for i in range(1, delta - 1):
-        # g_delta * coeff_i(f(ux+v)) = g_i * f_delta * u^delta
-        rhs = Poly.monomial(fieldK, delta).scale(g.coeff(i) * f.leading())
-        eqs.append(coeffs[i].scale(g.leading()) - rhs)
-    G = Poly(fieldK, ())
-    for e in eqs:
-        G = poly_gcd(G, e)
-    if not eqs or G.is_zero():
-        for cand in (fieldK.one(), -fieldK.one()):
-            res = try_u(cand)
-            if res:
-                return res
-        return None
-    if G.degree == 0:
-        return None
-    for u in in_field_roots(G):
-        res = try_u(u)
-        if res:
-            return res
+            continue
+        L1 = LinearPoly.make(fieldK, u, v.evaluate(u))
+        L2 = left_factor_solve(g, compose(f, L1.to_poly()))
+        if L2 is not None:
+            return L1, LinearPoly.from_poly(L2)
     return None
 
 

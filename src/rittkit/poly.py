@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from .errors import FieldMismatchError, ResourceCapError, RittKitError
 from .field import (QQ, FieldDescriptor, dense_divmod, dense_mul,
@@ -211,14 +211,12 @@ def chebyshev(delta: int, field: FieldDescriptor = QQ) -> Poly:
     """T_delta with T_delta(x + 1/x) = x^delta + x^(-delta)."""
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    t0 = Poly.constant(field, 2)
-    t1 = Poly.x(field)
-    if delta == 1:
-        return t1
-    x = Poly.x(field)
-    for _ in range(delta - 1):
-        t0, t1 = t1, x * t1 - t0
-    return t1
+    # sum_k (-1)^k delta/(delta-k) C(delta-k, k) x^(delta-2k), all integers
+    coeffs = [0] * (delta + 1)
+    for k in range(delta // 2 + 1):
+        coeffs[delta - 2 * k] = (-1) ** k * delta * comb(delta - k, k) // (
+            delta - k)
+    return Poly.make(field, coeffs)
 
 
 @dataclass(frozen=True)
@@ -315,6 +313,17 @@ def _int_gcd(a: list, b: list) -> list:
             return [1]
         a, b = b, primitive(int_pseudo_divmod(a, b)[2])
     return a
+
+
+def deflate(F: Poly, r) -> Poly:
+    """F with the factor x - r divided out as often as it divides."""
+    lin = Poly.make(F.field, [-r, 1])
+    while F.degree >= 1:
+        q, rem = poly_divmod(F, lin)
+        if rem:
+            break
+        F = q
+    return F
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:

@@ -1,9 +1,10 @@
 """In-field root finding for univariate polynomials.
 
 Over Q the search is complete (roots mod a prime, lifted by Hensel).  Over
-Q(zeta_m) degrees 1 and 2 are decided exactly; in higher degree, roots of
-the form (rational)*(root of unity) are found and the polynomial is
-deflated, which covers every construction in this library.
+Q(zeta_m) every root of the form (rational)*(root of unity) is found; the
+polynomial is deflated by them, and a linear or quadratic remainder goes
+to the root formula, whose square root is again only sought in that form.
+Other roots are missed: (x - (1+z))(x - (2+3z)) over Q(zeta_5) gets none.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from math import isqrt
 
 from .field import (CYCLOTOMIC, QQ, int_vector, nth_roots, roots_of_unity,
                     scalar_sort_key)
-from .poly import Poly, poly_divmod, poly_gcd, primitive, squarefree_part
+from .poly import Poly, deflate, poly_gcd, primitive, squarefree_part
 
 
 def rational_roots(coeffs) -> list:
@@ -134,27 +135,16 @@ def in_field_roots(F: Poly) -> list:
     if field.kind != CYCLOTOMIC:
         roots.extend(field.coerce(r) for r in rational_roots(F.coeffs))
     else:
-        work = F
-        while work.degree > 2:
-            layer = _unity_scaled_roots(work)
-            if not layer:
-                break
-            for r in layer:
-                if r not in roots:
-                    roots.append(r)
-            for r in layer:
-                lin = Poly.make(field, [-r, 1])
-                while work.degree >= 1:
-                    q, rem = poly_divmod(work, lin)
-                    if not rem.is_zero():
-                        break
-                    work = q
-                if work.degree <= 2:
-                    break
-        if work.degree == 1:
-            roots.append(-work.coeff(0) / work.coeff(1))
-        elif work.degree == 2:
-            roots.extend(_quadratic_roots(work))
+        # the search is complete for roots q*w; what it leaves is left
+        # to the formulas of degree 1 and 2
+        found = _unity_scaled_roots(F)
+        roots.extend(found)
+        for r in found:
+            F = deflate(F, r)
+        if F.degree == 1:
+            roots.append(-F.coeff(0) / F.coeff(1))
+        elif F.degree == 2:
+            roots.extend(_quadratic_roots(F))
     out = []
     for r in roots:
         if r not in out and not orig.evaluate(r):

@@ -294,13 +294,14 @@ def approx_classes(fs, N_max: int = DEFAULT_N_MAX,
             i = parent[i]
         return i
 
+    pairs = {}
     for i in range(n):
         for j in range(i + 1, n):
             # f^N and g^N can share a semiconjugate only at equal degree
             if find(i) == find(j) or fs[i].degree != fs[j].degree:
                 continue
-            wit = common_semiconjugate(fs[i], fs[j], N_max, deg_cap)
-            if wit is not None:
+            pairs[i, j] = common_semiconjugate(fs[i], fs[j], N_max, deg_cap)
+            if pairs[i, j] is not None:
                 parent[find(j)] = find(i)
     groups = {}
     for i in range(n):
@@ -312,8 +313,11 @@ def approx_classes(fs, N_max: int = DEFAULT_N_MAX,
         N = 1
         witnesses = {first: Poly.x(fs[first].field)}
         for other in members[1:]:
-            wit = common_semiconjugate(theta, iterate(fs[other], N),
-                                       N_max, deg_cap)
+            # the first step repeats the union pass's pair (theta = fs[first],
+            # N = 1), which was always searched there: reuse its result
+            wit = pairs[first, other] if other == members[1] else (
+                common_semiconjugate(theta, iterate(fs[other], N),
+                                     N_max, deg_cap))
             if wit is None:
                 raise RittKitError(
                     "chaining failed although pairwise witnesses exist")

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bivar import affine_substitution_coeffs
-from .decompose import equal_degree_linear
+from .conjugacy import _scale_polynomial, classify
+from .decompose import equal_degree_linear, left_factor_solve
 from .errors import HypothesisViolationError, ResourceCapError, RittKitError
-from .field import roots_of_unity, scalar_sort_key
-from .poly import (LinearPoly, Poly, compose, conjugate, iterate, poly_divmod,
-                   poly_gcd)
+from .field import nth_roots_of_unity, scalar_sort_key
+from .poly import (LinearPoly, Poly, compose, conjugate, deflate, iterate,
+                   poly_divmod)
 from .roots import in_field_roots
 
 INFINITE = "Infinite"
@@ -51,37 +51,6 @@ def _find_generator(elements) -> LinearPoly | None:
     return None
 
 
-def _scale_equations(A: Poly):
-    """Coefficient equations in the scale a of ell = a x + b(a).
-
-    b(a) = A_{d-1} (a - 1) / (d A_d) is forced by the x^(d-1) coefficient.
-    Returns (equations, b_of) where each equation is a Poly in a.
-    """
-    fieldK = A.field
-    d = A.degree
-    c = A.coeff(d - 1) / (d * A.leading())
-
-    def b_of(a):
-        return c * (a - fieldK.one())
-
-    # inner substitution a*x + c*(a - 1), with a as the second variable
-    coeffs = affine_substitution_coeffs(A, c, -c)
-    eqs = [coeffs[i] - Poly.monomial(fieldK, d).scale(A.coeff(i))
-           for i in range(1, d - 1)]
-    return eqs, b_of
-
-
-def _companion(A: Poly, ell: LinearPoly) -> LinearPoly | None:
-    """The L with A o ell = L o A, verified exactly."""
-    lhs = compose(A, ell.to_poly())
-    a_top = lhs.leading() / A.leading()
-    tau = lhs.constant_term() - a_top * A.constant_term()
-    L = LinearPoly.make(A.field, a_top, tau)
-    if compose(L.to_poly(), A) == lhs:
-        return L
-    return None
-
-
 def _extension_hint_order(residual: Poly, cap: int) -> int | None:
     """Smallest m with residual dividing a^m - 1, if any up to cap."""
     if residual.degree < 1:
@@ -102,15 +71,11 @@ def gamma_group(A: Poly) -> LinearGroup:
     """
     if A.degree < 2:
         raise RittKitError("symmetry group needs degree >= 2")
-    from .conjugacy import classify
     fieldK = A.field
     d = A.degree
-    eqs, b_of = _scale_equations(A)
-    G = Poly(fieldK, ())
-    for e in eqs:
-        G = poly_gcd(G, e)
+    G, v = _scale_polynomial(A, A)
     cyclic = classify(A).is_cyclic
-    if not eqs or G.is_zero():
+    if G.is_zero():
         if not cyclic:
             raise RittKitError("infinite symmetry group for a non-cyclic input")
         return LinearGroup(kind=INFINITE)
@@ -121,18 +86,13 @@ def gamma_group(A: Poly) -> LinearGroup:
     for a in in_field_roots(G):
         if not a:
             continue
-        ell = LinearPoly.make(fieldK, a, b_of(a))
-        L = _companion(A, ell)
+        ell = LinearPoly.make(fieldK, a, v.evaluate(a))
+        L = left_factor_solve(compose(A, ell.to_poly()), A)
         if L is None:
             continue
         elements.append(ell)
-        companions.append(L)
-        lin = Poly.make(fieldK, [-a, 1])
-        while residual.degree >= 1:
-            q, r = poly_divmod(residual, lin)
-            if not r.is_zero():
-                break
-            residual = q
+        companions.append(LinearPoly.from_poly(L))
+        residual = deflate(residual, a)
     order = sorted(range(len(elements)),
                    key=lambda i: scalar_sort_key(elements[i].a))
     # identity first
@@ -153,9 +113,7 @@ def _commuting_linears(F: Poly) -> list:
     d = F.degree
     c = F.coeff(d - 1) / (d * F.leading())
     out = []
-    for a in roots_of_unity(fieldK):
-        if a ** (d - 1) != fieldK.one():
-            continue
+    for a in nth_roots_of_unity(fieldK, d - 1):
         ell = LinearPoly.make(fieldK, a, c * (a - fieldK.one()))
         if compose(F, ell.to_poly()) == compose(ell.to_poly(), F):
             out.append(ell)
@@ -235,7 +193,6 @@ def align_iterates(f: Poly, g: Poly, L: LinearPoly, n: int):
         raise HypothesisViolationError("f and g need equal degree >= 2")
     if n < 1:
         raise HypothesisViolationError("n must be >= 1")
-    from .conjugacy import classify
     if classify(f).is_cyclic or classify(g).is_cyclic:
         raise HypothesisViolationError("alignment needs non-cyclic inputs")
     fieldK = f.field

@@ -122,3 +122,10 @@ def test_cyclotomic_compose():
     f = Poly.make(K, [z, 0, 1])
     g = Poly.make(K, [0, z])
     assert compose(f, g) == Poly.make(K, [z, 0, z * z])
+
+
+def test_chebyshev_functional_identity_high_degree():
+    n = 1000
+    T = chebyshev(n)
+    for t in (Fraction(2), Fraction(1, 3)):
+        assert T.evaluate(t + 1 / t) == t ** n + t ** -n

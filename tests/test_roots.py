@@ -1,9 +1,15 @@
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import sympy
 from conftest import rng_for
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rittkit import QQ, Poly, cyclotomic_field, in_field_roots
+from rittkit.cli import run_command
+from rittkit.field import roots_of_unity
 from rittkit.roots import is_square_rational, rational_roots
 
 
@@ -67,3 +73,51 @@ def test_is_square_rational():
     assert not is_square_rational(Fraction(2))
     assert not is_square_rational(Fraction(-1))
     assert is_square_rational(Fraction(0))
+
+
+def test_in_field_roots_low_degree_unity_scaled():
+    # (x - 1)(x - z): the quadratic formula alone needs sqrt of
+    # (1 - z)^2, which is not a rational times a root of unity
+    K = cyclotomic_field(3)
+    z = K.zeta()
+    f = Poly.make(K, [-1, 1]) * Poly.make(K, [-z, 1])
+    assert set(in_field_roots(f)) == {K.one(), z}
+
+
+def test_inou_degenerate_cyclotomic_fixed_point():
+    # 1 and z are fixed points of x^2 - z*x + z over Q(zeta 3)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run_command(["inou", "--field", "Q(zeta 3)",
+                            "--f", "x^2 - z*x + z", "--p", "x",
+                            "--eta", "x^2 - z*x + z"])
+    assert code == 0
+    assert "verified: true" in buf.getvalue()
+
+
+small_q = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def planted_roots(draw):
+    """(F, roots): F has the planted roots q*w and a cofactor of degree <= 2."""
+    K = cyclotomic_field(draw(st.sampled_from([3, 4, 5, 7, 8])))
+    units = roots_of_unity(K)
+    roots = [draw(small_q.filter(bool)) * draw(st.sampled_from(units))
+             for _ in range(draw(st.integers(1, 3)))]
+    F = Poly.make(K, [draw(small_q) * draw(st.sampled_from(units))
+                      + draw(small_q) for _ in range(draw(st.integers(1, 3)))])
+    if not F:
+        F = Poly.constant(K, 1)
+    for r in roots:
+        F = F * Poly.make(K, [-r, 1])
+    return F, roots
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(planted_roots())
+def test_in_field_roots_finds_planted_unity_scaled(case):
+    F, planted = case
+    found = in_field_roots(F)
+    assert all(r in found for r in planted)
+    assert all(not F.evaluate(r) for r in found)

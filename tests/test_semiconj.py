@@ -238,3 +238,23 @@ def test_common_semiconjugate_power_shape_routes():
 def test_approx_classes_unequal_degrees_are_separate():
     res = approx_classes([P(1, 0, 1), P(0, 0, 0, 1, 0, 1)])
     assert res.classes == ((0,), (1,))
+
+
+def test_approx_classes_searches_each_pair_once(monkeypatch):
+    # the first chaining step of a class reuses the union pass's witness
+    import rittkit.semiconj as semiconj
+    search = semiconj.common_semiconjugate
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(search(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(semiconj, "common_semiconjugate", counted)
+    f2 = P(0, 0, 0, 1) * P(1, 1) ** 2
+    f3 = P(0, 0, 0, 1, 0, 1)
+    res = approx_classes([f2, f3])
+    assert len(calls) == 1
+    wit = calls[0]
+    assert res.classes == ((0, 1),)
+    assert res.representatives[0] == (wit.eta, wit.N, {0: wit.p, 1: wit.q})
