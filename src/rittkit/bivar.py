@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CollapsedImageError, FieldMismatchError, RittKitError
+from .errors import FieldMismatchError, RittKitError
 from .field import FieldDescriptor, dense_mul
 from .poly import Poly, exact_div, poly_divmod, poly_gcd, squarefree_part
 
@@ -302,14 +302,7 @@ def _squarefree_by_specialization(prim: BivarPoly) -> bool:
     constant.  False means undecided, not non-squarefree.
     """
     lc = prim.rows[prim.deg_y]
-    tried = 0
-    t = 0
-    while tried < 4 and t < 100:
-        x0 = prim.field.coerce(t)
-        t += 1
-        if not lc.evaluate(x0):
-            continue
-        tried += 1
+    for x0 in _sample_points(prim.field, 4, lambda v: not lc.evaluate(v)):
         a = prim.eval_x(x0)
         if poly_gcd(a, a.derivative()).degree == 0:
             return True
@@ -317,18 +310,25 @@ def _squarefree_by_specialization(prim: BivarPoly) -> bool:
 
 
 def bivar_squarefree(G: BivarPoly) -> BivarPoly:
-    """Squarefree part, handling x-only content separately."""
+    """Squarefree part.
+
+    The x-only and y-only contents (vertical and horizontal lines) are
+    split off and made squarefree as univariate polynomials, so bivar_gcd
+    only sees a part with no line factor: a pushed line can carry a
+    multiplicity as high as the map's degree.
+    """
     if G.is_zero():
         return G
-    if G.deg_y == 0:
-        return BivarPoly.make(G.field, [squarefree_part(G.rows[0])])
-    c, prim = _primitive_y(G)
-    c_sf = squarefree_part(c) if c.degree >= 1 else Poly.constant(G.field, 1)
+    cx, G = _primitive_y(G)
+    cy, Gt = _primitive_y(G.transpose())
+    prim = Gt.transpose()
     if not _squarefree_by_specialization(prim):
         g = bivar_gcd(prim, prim.derivative_y())
         if g.deg_y >= 1:
             prim = bivar_exact_div_y(prim, g)
-    return BivarPoly.make(G.field, [r * c_sf for r in prim.rows])
+    lines = (BivarPoly.from_univar(squarefree_part(cx), "x")
+             * BivarPoly.from_univar(squarefree_part(cy), "y"))
+    return lines * prim
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ even integer; otherwise it stays symbolic and carries its meaning as data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 EXACT_BIT_THRESHOLD = 10 ** 6
 LOG2_SATURATION = 1e308

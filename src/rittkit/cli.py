@@ -16,7 +16,7 @@ from .errors import (BadReductionError, CollapsedImageError,
                      ParseError, ResourceCapError, RittKitError)
 from .field import scalar_str
 from .parser import parse_curve, parse_field, parse_poly
-from .poly import LinearPoly, Poly
+from .poly import LinearPoly
 
 EXIT_OK = 0
 EXIT_INPUT = 2

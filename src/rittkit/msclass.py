@@ -1,22 +1,24 @@
 """Periodic plane curves for split polynomial maps (x, y) -> (f(x), g(y)).
 
-curve_image pushes a curve forward by resultant elimination, curve_period
-certifies minimal periods with the full image chain, and
-ms_diagonal_curves enumerates the diagonal-form invariant curves coming
-from linear symmetries composed with iterates.
+curve_image pushes a curve forward by one route for every curve, line
+components included: two calls of the x-push _push_x, one through f and
+one through g, then the squarefree part.  curve_period certifies minimal
+periods with the full image chain, and ms_diagonal_curves enumerates the
+diagonal-form invariant curves coming from linear symmetries composed
+with iterates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bivar import (BivarCurve, BivarPoly, _primitive_y, bivar_squarefree,
-                    lagrange_interpolate, resultant_x, resultant_y)
+from .bivar import (BivarCurve, BivarPoly, _sample_points, bivar_squarefree,
+                    lagrange_interpolate, resultant_y)
 from .errors import (CollapsedImageError, HypothesisViolationError,
                      FieldExtensionRequiredError, ResourceCapError,
                      RittKitError)
 from .field import scalar_sort_key
-from .poly import Poly, compose, iterate, squarefree_part
+from .poly import Poly, compose, iterate
 
 IMAGE_DEGREE_CAP = 512
 
@@ -32,74 +34,37 @@ def _univar_image(h: Poly, f: Poly) -> Poly:
     return resultant_y(BivarPoly.from_univar(h, "y"), _x_minus(f))
 
 
-def _generic_image(G: BivarPoly, f: Poly, g: Poly) -> BivarPoly:
-    """Pushforward of a curve with no line components, both degrees >= 1.
+def _push_x(G: BivarPoly, f: Poly) -> BivarPoly:
+    """Res_x(G(x, y), u - f(x)) as rows by the power of u, each a Poly in y.
 
-    Eliminates x from {G = 0, u = f(x)} per sample value of u, then
-    eliminates y against v = g(y), and interpolates the result in u.
-    Extraneous single-variable factors (leading-coefficient powers picked
-    up by the resultants) are stripped afterwards; a genuine image here
-    has no such factors because both projections are nonconstant.
+    The leading x-coefficient of u - f(x) is the constant -lc(f), so the
+    resultant is c * prod_{f(a) = u} G(a, y) with no extraneous factor,
+    and it specializes exactly at every y0 where G keeps its x-degree.
+    The row variable swaps, so a second push eliminates y.
     """
     field = G.field
-    bound_u = G.deg_x * g.degree
-    samples = []
-    dmax = 0
-    t = 0
-    while True:
-        kept = [s for s in samples if s[1].degree == dmax]
-        if dmax >= 1 and len(kept) >= bound_u + 1:
-            break
-        if t > 20 * (bound_u + 1) + 50:
-            raise RittKitError("could not collect enough image samples")
-        u0 = field.coerce(t)
-        t += 1
-        B = BivarPoly.from_univar(Poly.constant(field, u0) - f, "x")
-        R1 = resultant_x(G, B)
-        if R1.is_zero():
-            continue
-        samples.append((u0, R1))
-        dmax = max(dmax, R1.degree)
-    kept = kept[:bound_u + 1]
-    slices = [(u0, _univar_image(R1, g)) for u0, R1 in kept]
-    rows = []
-    for k in range(dmax + 1):
-        pts = [(u0, S.coeff(k)) for u0, S in slices]
-        rows.append(lagrange_interpolate(field, pts))
-    H = BivarPoly.make(field, rows)
-    _, H = _primitive_y(H)
-    _, Ht = _primitive_y(H.transpose())
-    return Ht.transpose()
+    Gt = G.transpose()
+    lead = Gt.rows[-1]
+    ys = _sample_points(field, G.deg_y * f.degree + 1,
+                        lambda y0: not lead.evaluate(y0))
+    slices = [_univar_image(Gt.eval_x(y0), f) for y0 in ys]
+    return BivarPoly.make(field, [
+        lagrange_interpolate(field, [(y0, S.coeff(k))
+                                     for y0, S in zip(ys, slices)])
+        for k in range(G.deg_x + 1)])
 
 
 def curve_image(C: BivarCurve, f: Poly, g: Poly) -> BivarCurve:
     """Zariski closure of the image of C under (x, y) -> (f(x), g(y)).
 
-    Vertical and horizontal line components are imaged directly; the rest
-    goes through resultant elimination.  The result is squarefree.
+    One route for every curve: the squarefree part of
+    Res_y(Res_x(G, u - f(x)), v - g(y)), two calls of _push_x, is the
+    image.  Vertical and horizontal line components need no branch;
+    bivar_squarefree splits off their content.
     """
     if f.degree < 1 or g.degree < 1:
         raise RittKitError("both coordinate maps must be nonconstant")
-    field = C.field
-    G = C.poly
-    parts = []
-    cx, G = _primitive_y(G)
-    if cx.degree >= 1:
-        lines = squarefree_part(_univar_image(cx, f))
-        parts.append(BivarPoly.from_univar(lines, "x"))
-    cy, Gt = _primitive_y(G.transpose())
-    G = Gt.transpose()
-    if cy.degree >= 1:
-        lines = squarefree_part(_univar_image(cy, g))
-        parts.append(BivarPoly.from_univar(lines, "y"))
-    if G.deg_x >= 1 and G.deg_y >= 1:
-        parts.append(_generic_image(G, f, g))
-    if not parts:
-        raise CollapsedImageError("image is not a curve")
-    total = parts[0]
-    for p in parts[1:]:
-        total = total * p
-    total = bivar_squarefree(total)
+    total = bivar_squarefree(_push_x(_push_x(C.poly, f), g))
     if total.deg_x < 1 and total.deg_y < 1:
         raise CollapsedImageError("image is not a curve")
     return BivarCurve.make(total)

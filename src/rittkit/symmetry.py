@@ -82,10 +82,8 @@ def gamma_group(A: Poly) -> LinearGroup:
     if cyclic:
         raise RittKitError("finite symmetry group for a cyclic input")
     elements, companions = [], []
-    residual = G
-    for a in in_field_roots(G):
-        if not a:
-            continue
+    residual = Poly(fieldK, G.coeffs[G.multiplicity_at_zero():])
+    for a in in_field_roots(residual):
         ell = LinearPoly.make(fieldK, a, v.evaluate(a))
         L = left_factor_solve(compose(A, ell.to_poly()), A)
         if L is None:

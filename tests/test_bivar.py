@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 import sympy
 from conftest import rng_for
 from sympy.polys.subresultants_qq_zz import sylvester
@@ -97,6 +98,18 @@ def test_bivar_gcd_and_squarefree():
     assert BivarCurve.make(g) == BivarCurve.make(a * b)
     sf = bivar_squarefree(prod)
     assert BivarCurve.make(sf) == BivarCurve.make(a * b)
+
+
+@pytest.mark.parametrize("poly, distinct", [
+    ("(y - 1)^2*(x + 2)^3*(x - y)^2", ["y - 1", "x + 2", "x - y"]),
+    ("(y - 1)^3*(y + 2)^2*(2*y + 1)", ["y - 1", "y + 2", "2*y + 1"]),
+])
+def test_bivar_squarefree_line_content(poly, distinct):
+    want = parse_bivar(distinct[0])
+    for d in distinct[1:]:
+        want = want * parse_bivar(d)
+    sf = bivar_squarefree(parse_bivar(poly))
+    assert BivarCurve.make(sf) == BivarCurve.make(want)
 
 
 def test_curve_canonical_form():

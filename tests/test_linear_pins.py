@@ -9,6 +9,7 @@ shows up here.
 
 import io
 from contextlib import redirect_stdout
+from math import lcm
 
 import pytest
 
@@ -19,26 +20,27 @@ from rittkit.parser import parse_poly
 
 FIELDS = {"Q": QQ, "Q(zeta 3)": cyclotomic_field(3),
           "Q(zeta 4)": cyclotomic_field(4), "Q(zeta 5)": cyclotomic_field(5)}
+ZETA_ORDER = {"Q": 1, "Q(zeta 3)": 3, "Q(zeta 4)": 4, "Q(zeta 5)": 5}
 
 # (field, A) -> (kind, elements, companions, generator, extension_hint)
 GAMMA = [
     (('Q', 'x^3 + x'), ('Finite', ('x', '-x'), ('x', '-x'), '-x', None)),
     (('Q', 'x^3 + x^2'),
      ('Finite', ('x', '-x - 2/3'), ('x', '-x + 4/27'), '-x - 2/3', None)),
-    (('Q', 'x^4 + x'), ('Finite', ('x',), ('x',), 'x', None)),
-    (('Q', 'x^5 + x'), ('Finite', ('x', '-x'), ('x', '-x'), '-x', None)),
-    (('Q', 'x^6 + x'), ('Finite', ('x',), ('x',), 'x', None)),
+    (('Q', 'x^4 + x'), ('Finite', ('x',), ('x',), 'x', 3)),
+    (('Q', 'x^5 + x'), ('Finite', ('x', '-x'), ('x', '-x'), '-x', 4)),
+    (('Q', 'x^6 + x'), ('Finite', ('x',), ('x',), 'x', 5)),
     (('Q', 'x^4 - 4*x^2 + 2'),
      ('Finite', ('x', '-x'), ('x', 'x'), '-x', None)),
-    (('Q', 'x^6 + x^3'), ('Finite', ('x',), ('x',), 'x', None)),
+    (('Q', 'x^6 + x^3'), ('Finite', ('x',), ('x',), 'x', 3)),
     (('Q', 'x^2 + 1'), ('Infinite', (), (), None, None)),
     (('Q', '(x + 1)^3 - 1'), ('Infinite', (), (), None, None)),
     (('Q', '(x + 1)^5 + x'),
-     ('Finite', ('x', '-x - 2'), ('x', '-x - 2'), '-x - 2', None)),
+     ('Finite', ('x', '-x - 2'), ('x', '-x - 2'), '-x - 2', 4)),
     (('Q', '(x + 1)^7 + x + 1'),
-     ('Finite', ('x', '-x - 2'), ('x', '-x'), '-x - 2', None)),
+     ('Finite', ('x', '-x - 2'), ('x', '-x'), '-x - 2', 6)),
     (('Q', '(x - 2)^6 + x^3 - 6*x^2 + 12*x'),
-     ('Finite', ('x',), ('x',), 'x', None)),
+     ('Finite', ('x',), ('x',), 'x', 3)),
     (('Q(zeta 3)', 'x^3 + x'),
      ('Finite', ('x', '-x'), ('x', '-x'), '-x', None)),
     (('Q(zeta 3)', 'x^3 + x^2'),
@@ -50,8 +52,8 @@ GAMMA = [
       '(-1 - z)*x',
       None)),
     (('Q(zeta 3)', 'x^5 + x'),
-     ('Finite', ('x', '-x'), ('x', '-x'), '-x', None)),
-    (('Q(zeta 3)', 'x^6 + x'), ('Finite', ('x',), ('x',), 'x', None)),
+     ('Finite', ('x', '-x'), ('x', '-x'), '-x', 4)),
+    (('Q(zeta 3)', 'x^6 + x'), ('Finite', ('x',), ('x',), 'x', 5)),
     (('Q(zeta 3)', 'x^4 - 4*x^2 + 2'),
      ('Finite', ('x', '-x'), ('x', 'x'), '-x', None)),
     (('Q(zeta 3)', 'x^6 + x^3'),
@@ -67,7 +69,7 @@ GAMMA = [
     (('Q(zeta 3)', 'x^3 + z*x'),
      ('Finite', ('x', '-x'), ('x', '-x'), '-x', None)),
     (('Q(zeta 3)', '(x + 1)^5 + x'),
-     ('Finite', ('x', '-x - 2'), ('x', '-x - 2'), '-x - 2', None)),
+     ('Finite', ('x', '-x - 2'), ('x', '-x - 2'), '-x - 2', 4)),
     (('Q(zeta 3)', '(x + 1)^7 + x + 1'),
      ('Finite',
       ('x',
@@ -89,17 +91,17 @@ GAMMA = [
      ('Finite', ('x', '-x'), ('x', '-x'), '-x', None)),
     (('Q(zeta 4)', 'x^3 + x^2'),
      ('Finite', ('x', '-x - 2/3'), ('x', '-x + 4/27'), '-x - 2/3', None)),
-    (('Q(zeta 4)', 'x^4 + x'), ('Finite', ('x',), ('x',), 'x', None)),
+    (('Q(zeta 4)', 'x^4 + x'), ('Finite', ('x',), ('x',), 'x', 3)),
     (('Q(zeta 4)', 'x^5 + x'),
      ('Finite',
       ('x', '-x', '-z*x', 'z*x'),
       ('x', '-x', '-z*x', 'z*x'),
       '-z*x',
       None)),
-    (('Q(zeta 4)', 'x^6 + x'), ('Finite', ('x',), ('x',), 'x', None)),
+    (('Q(zeta 4)', 'x^6 + x'), ('Finite', ('x',), ('x',), 'x', 5)),
     (('Q(zeta 4)', 'x^4 - 4*x^2 + 2'),
      ('Finite', ('x', '-x'), ('x', 'x'), '-x', None)),
-    (('Q(zeta 4)', 'x^6 + x^3'), ('Finite', ('x',), ('x',), 'x', None)),
+    (('Q(zeta 4)', 'x^6 + x^3'), ('Finite', ('x',), ('x',), 'x', 3)),
     (('Q(zeta 4)', 'x^2 + 1'), ('Infinite', (), (), None, None)),
     (('Q(zeta 4)', '(x + 1)^3 - 1'), ('Infinite', (), (), None, None)),
     (('Q(zeta 4)', 'x^4 + z*x^2'),
@@ -113,16 +115,16 @@ GAMMA = [
       '-z*x + (-1 - z)',
       None)),
     (('Q(zeta 4)', '(x + 1)^7 + x + 1'),
-     ('Finite', ('x', '-x - 2'), ('x', '-x'), '-x - 2', None)),
+     ('Finite', ('x', '-x - 2'), ('x', '-x'), '-x - 2', 6)),
     (('Q(zeta 4)', '(x - 2)^6 + x^3 - 6*x^2 + 12*x'),
-     ('Finite', ('x',), ('x',), 'x', None)),
+     ('Finite', ('x',), ('x',), 'x', 3)),
     (('Q(zeta 5)', 'x^3 + x'),
      ('Finite', ('x', '-x'), ('x', '-x'), '-x', None)),
     (('Q(zeta 5)', 'x^3 + x^2'),
      ('Finite', ('x', '-x - 2/3'), ('x', '-x + 4/27'), '-x - 2/3', None)),
-    (('Q(zeta 5)', 'x^4 + x'), ('Finite', ('x',), ('x',), 'x', None)),
+    (('Q(zeta 5)', 'x^4 + x'), ('Finite', ('x',), ('x',), 'x', 3)),
     (('Q(zeta 5)', 'x^5 + x'),
-     ('Finite', ('x', '-x'), ('x', '-x'), '-x', None)),
+     ('Finite', ('x', '-x'), ('x', '-x'), '-x', 4)),
     (('Q(zeta 5)', 'x^6 + x'),
      ('Finite',
       ('x', '(-1 - z - z^2 - z^3)*x', 'z^3*x', 'z^2*x', 'z*x'),
@@ -131,7 +133,7 @@ GAMMA = [
       None)),
     (('Q(zeta 5)', 'x^4 - 4*x^2 + 2'),
      ('Finite', ('x', '-x'), ('x', 'x'), '-x', None)),
-    (('Q(zeta 5)', 'x^6 + x^3'), ('Finite', ('x',), ('x',), 'x', None)),
+    (('Q(zeta 5)', 'x^6 + x^3'), ('Finite', ('x',), ('x',), 'x', 3)),
     (('Q(zeta 5)', 'x^2 + 1'), ('Infinite', (), (), None, None)),
     (('Q(zeta 5)', '(x + 1)^3 - 1'), ('Infinite', (), (), None, None)),
     (('Q(zeta 5)', 'x^4 + z*x^2'),
@@ -139,11 +141,11 @@ GAMMA = [
     (('Q(zeta 5)', 'x^3 + z*x'),
      ('Finite', ('x', '-x'), ('x', '-x'), '-x', None)),
     (('Q(zeta 5)', '(x + 1)^5 + x'),
-     ('Finite', ('x', '-x - 2'), ('x', '-x - 2'), '-x - 2', None)),
+     ('Finite', ('x', '-x - 2'), ('x', '-x - 2'), '-x - 2', 4)),
     (('Q(zeta 5)', '(x + 1)^7 + x + 1'),
-     ('Finite', ('x', '-x - 2'), ('x', '-x'), '-x - 2', None)),
+     ('Finite', ('x', '-x - 2'), ('x', '-x'), '-x - 2', 6)),
     (('Q(zeta 5)', '(x - 2)^6 + x^3 - 6*x^2 + 12*x'),
-     ('Finite', ('x',), ('x',), 'x', None)),
+     ('Finite', ('x',), ('x',), 'x', 3)),
 ]
 
 # (field, f, g) -> (L1, L2) with L2 o f o L1 = g, or None.  Degree 1,
@@ -231,6 +233,21 @@ def test_gamma_group_pinned(key, expected):
            tuple(map(str, grp.companions)), _str(grp.generator),
            grp.extension_hint)
     assert got == expected
+
+
+HINTED = [(key, expected) for key, expected in GAMMA
+          if expected[4] is not None]
+
+
+@pytest.mark.parametrize("key, expected", HINTED,
+                         ids=["|".join(k) for k, _ in HINTED])
+def test_extension_hint_adds_elements(key, expected):
+    # a hint m over Q(zeta k) names roots of unity that Q(zeta lcm(k, m))
+    # holds, so the group there is strictly larger
+    field, A = key
+    bigger = cyclotomic_field(lcm(ZETA_ORDER[field], expected[4]))
+    grp = gamma_group(parse_poly(A, bigger))
+    assert len(grp.elements) > len(expected[1])
 
 
 @pytest.mark.parametrize("key, expected", EQUIVALENCE,

@@ -1,9 +1,10 @@
 import pytest
+import sympy
 
 from rittkit import (QQ, CollapsedImageError, HypothesisViolationError, Poly,
                      chebyshev, compose, curve_image, curve_period,
                      cyclotomic_field, ms_diagonal_curves, parse_curve,
-                     periodic_graph_search, projection_profile)
+                     parse_poly, periodic_graph_search, projection_profile)
 from rittkit.msclass import graph_curve
 
 X = Poly.x(QQ)
@@ -36,6 +37,49 @@ def test_vertical_line_image():
     assert img == parse_curve("x - 10")
     prof = projection_profile(img)
     assert prof == {"x_constant": True, "y_constant": False}
+
+
+SX, SY, SU, SV = sympy.symbols("x y u v")
+
+
+def _rat(c):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def _sympy_image(curve: str, f: Poly, g: Poly):
+    """sqf_part of Res_y(Res_x(G, u - f(x)), v - g(y)), monic in (u, v)."""
+    def sym(p, t):
+        return sum(_rat(c) * t ** i for i, c in enumerate(p.coeffs))
+    G = sympy.sympify(curve.replace("^", "**"), {"x": SX, "y": SY})
+    R = sympy.resultant(sympy.resultant(G, SU - sym(f, SX), SX),
+                        SV - sym(g, SY), SY)
+    return sympy.Poly(sympy.sqf_part(R), SU, SV).monic()
+
+
+@pytest.mark.parametrize("curve", [
+    "y^2 - x^3 - x",                  # generic
+    "x - 2",                          # vertical line
+    "y + 1",                          # horizontal line
+    "(x - 1)^2*(y - x^2)",            # squared line times a generic factor
+    "(x + 1)*(y - 2)*(x*y - 1)",      # both kinds of line content
+])
+def test_curve_image_vs_sympy(curve):
+    f, g = P(0, 1, 1), P(0, -2, 0, 1)          # x^2 + x, x^3 - 2x
+    img = curve_image(parse_curve(curve), f, g)
+    ours = sum(_rat(img.poly.coeff(i, j)) * SU ** i * SV ** j
+               for j in range(img.deg_y + 1) for i in range(img.deg_x + 1))
+    assert sympy.Poly(ours, SU, SV).monic() == _sympy_image(curve, f, g)
+
+
+def test_horizontal_line_image_cyclotomic_pinned():
+    # (y - z)*(x*y - 1) under (x^2, x^2 + z): the line y = z goes to
+    # y = z^2 + z, and x*y = 1 to x*(y - z) = 1; output as recorded
+    # before curve_image became one push chain
+    K = cyclotomic_field(5)
+    img = curve_image(parse_curve("(y - z)*(x*y - 1)", K),
+                      Poly.monomial(K, 2), parse_poly("x^2 + z", K))
+    assert str(img) == ("((-1 - z^2)*x)*y^2 + ((-1 + z + z^3)*x "
+                        "+ (1 + z^2))*y + (z*x + 1)")
 
 
 def test_collapse_raises():
