@@ -1,10 +1,14 @@
 """Shape classification of polynomials.
 
-Cyclic/dihedral status is decided in the sense of the algebraic closure
-(the coefficient conditions below are closure-complete), while conjugacy
-witnesses are only reported when they exist in the ambient field; a missing
-in-field witness is surfaced as a hint instead of an error so that
-classification always completes.
+Every linear-map solve here reduces to the roots of one scale polynomial.
+Once f is centred (no x^(d-1) term), a conjugacy to the centred x^d, T_d
+or -T_d is a pure scaling a*x, and `_conj_scales` is the gcd of its
+coefficient equations in a: f is conjugate over the algebraic closure iff
+the gcd has a root, and the witness is its largest in-field root,
+verified before it is returned.  `_scale_polynomial` does the same for
+L2 o f o L1 = g.  Cyclic/dihedral status is a closure-level coefficient
+test on the same centred form.  A missing in-field witness is surfaced as
+a hint instead of an error so that classification always completes.
 """
 
 from __future__ import annotations
@@ -14,9 +18,8 @@ from dataclasses import dataclass
 from .bivar import affine_substitution_coeffs
 from .decompose import left_factor_solve
 from .errors import RittKitError
-from .field import nth_roots
-from .poly import (LinearPoly, Poly, chebyshev, compose, conjugate, poly_gcd,
-                   power_shape)
+from .field import scalar_sort_key
+from .poly import LinearPoly, Poly, chebyshev, compose, conjugate, poly_gcd
 from .roots import in_field_roots
 
 
@@ -45,111 +48,76 @@ class PowerNormalForm:
         return lhs == rhs
 
 
-def _dihedral_data(f: Poly):
-    """Closure-level test for f = L2 o T_delta o L1.
+def _centred(f: Poly):
+    """(s, F) with F = f(x - s) + s free of x^(deg f - 1)."""
+    s = f.coeff(f.degree - 1) / (f.degree * f.leading())
+    return s, conjugate(LinearPoly.make(f.field, 1, s), f) if s else f
 
-    Returns (t, g, w) with g = f(x - t) free of x^(delta-1); w = u^2 for
-    the inner scale u when the coefficient test holds, None otherwise.
+
+def _conj_scales(F: Poly, H: Poly) -> Poly:
+    """The monic gcd in a of the equations of (a*x) o F o (x/a) = H.
+
+    F and H are centred of one degree; the equations are F_i = H_i*a^(i-1)
+    for i >= 1 and F_0*a = H_0.  A linear map between centred polynomials
+    has no translation part, so the roots are exactly the scales of the
+    conjugacies, and F ~ H over the closure iff the gcd is not constant.
     """
-    delta = f.degree
-    fieldK = f.field
-    t = f.coeff(delta - 1) / (delta * f.leading())
-    g = compose(f, Poly.make(fieldK, [-t, 1]))
-    if not g.coeff(delta - 2):
-        return t, g, None
-    T = chebyshev(delta, fieldK)
-    w = fieldK.coerce(-delta) * g.leading() / g.coeff(delta - 2)
-    # need g_i / g_delta = c_i * u^(i - delta); the exponent is even
-    for i in range(1, delta):
-        ci, gi = T.coeff(i), g.coeff(i)
-        if not ci:
-            if gi:
-                return t, g, None
-        elif gi / g.leading() != ci * w ** ((i - delta) // 2):
-            return t, g, None
-    return t, g, w
-
-
-def _conj_power_witness(f: Poly, shape):
-    """(closure_conjugate, in-field ell with ell o f o ell^{-1} = x^delta).
-
-    shape is power_shape(f); f is conjugate to x^delta over the closure
-    iff f = lc*(x + beta)^delta - beta.
-    """
-    if shape is None or shape[1] != -shape[0]:
-        return False, None
-    beta = shape[0]
-    delta = f.degree
-    for a in nth_roots(f.leading(), delta - 1, f.field):
-        ell = LinearPoly.make(f.field, a, a * beta)
-        if conjugate(ell, f) == Poly.monomial(f.field, delta):
-            return True, ell
-    return True, None
-
-
-def _conj_cheb_witness(f: Poly, dihedral):
-    """(closure_conjugate, sign, in-field ell with ell o f o ell^{-1} = sign*T).
-
-    dihedral is _dihedral_data(f).
-    """
-    delta = f.degree
-    fieldK = f.field
-    T = chebyshev(delta, fieldK)
-    t, g, w = dihedral
-    if delta == 2:
-        # f = eps*a*(x+t)^2 - (2*eps + a*t)/a; solve a for each sign
-        B = g.coeff(0)
-        for eps in (fieldK.one(), -fieldK.one()):
-            denom = B + t
-            if not denom:
-                continue
-            a = -2 * eps / denom
-            ell = LinearPoly.make(fieldK, a, a * t)
-            if conjugate(ell, f) == T.scale(eps):
-                return True, eps, ell
-        return False, None, None
-    if w is None:
-        return False, None, None
-    if delta % 2:
-        # sign forced by the leading equation g_delta = eps * a^(delta-1)
-        eps = g.leading() / w ** ((delta - 1) // 2)
-        if eps != fieldK.one() and eps != -fieldK.one():
-            return False, None, None
-        if g.coeff(0) != -t:
-            return False, None, None
-        for a in nth_roots(w, 2, fieldK):
-            ell = LinearPoly.make(fieldK, a, a * t)
-            if conjugate(ell, f) == T.scale(eps):
-                return True, eps, ell
-        return True, eps, None
-    # delta even: a is forced in-field for each sign, so closure = in-field
-    for eps in (fieldK.one(), -fieldK.one()):
-        a = eps * g.leading() / w ** ((delta - 2) // 2)
-        if a * a != w:
+    fieldK = F.field
+    G = Poly(fieldK, ())
+    for i in range(F.degree + 1):
+        fi, hi = F.coeff(i), H.coeff(i)
+        if not (fi or hi):
             continue
-        ell = LinearPoly.make(fieldK, a, a * t)
-        if conjugate(ell, f) == T.scale(eps):
-            return True, eps, ell
-    return False, None, None
+        G = poly_gcd(G, Poly.make(fieldK, [-hi, fi]) if i == 0
+                     else Poly.monomial(fieldK, i - 1, hi) - fi)
+        if G.degree == 0:
+            break
+    return G
+
+
+def _conj_witness(f: Poly, s, F: Poly, H: Poly):
+    """(closure, ell): f ~ H over the closure, and a verified in-field ell.
+
+    (s, F) is _centred(f); ell = a*(x + s) for the largest in-field root a
+    of _conj_scales(F, H), or None when it has no root in the field.
+    """
+    G = _conj_scales(F, H)
+    roots = in_field_roots(G) if G.degree >= 1 else []
+    if not roots:
+        return G.degree >= 1, None
+    a = max(roots, key=scalar_sort_key)
+    ell = LinearPoly.make(f.field, a, a * s)
+    if conjugate(ell, f) != H:
+        raise RittKitError("conjugacy witness failed verification")
+    return True, ell
 
 
 def classify(f: Poly) -> ShapeReport:
     if f.degree < 2:
         raise RittKitError("classification needs degree >= 2")
-    shape = power_shape(f)
-    dihedral = _dihedral_data(f)
-    pw_closure, pw_ell = _conj_power_witness(f, shape)
-    ch_closure, ch_sign, ch_ell = _conj_cheb_witness(f, dihedral)
+    fieldK, d = f.field, f.degree
+    s, F = _centred(f)
+    T = chebyshev(d, fieldK)
+    pw_closure, pw_ell = _conj_witness(f, s, F, Poly.monomial(fieldK, d))
+    ch_closure, ch_ell = _conj_witness(f, s, F, T)
+    sign = fieldK.one()
+    if ch_ell is None:
+        neg_closure, ch_ell = _conj_witness(f, s, F, T.scale(-1))
+        ch_closure, sign = ch_closure or neg_closure, -sign
+    # F = L2 o T o (u*x) over the closure: F_i = F_d*T_i*r^((d-i)/2), r = u^-2
+    r = F.coeff(d - 2) / (-d * F.leading())
     hints = []
     if pw_closure and pw_ell is None:
         hints.append("conjugacy to the power map needs a field extension")
     if ch_closure and ch_ell is None:
         hints.append("conjugacy to a Chebyshev form needs a field extension")
     return ShapeReport(
-        is_cyclic=shape is not None,
-        is_dihedral=f.degree >= 3 and dihedral[2] is not None,
+        is_cyclic=not any(F.coeffs[1:d]),
+        is_dihedral=d >= 3 and bool(r) and all(
+            F.coeff(i) == F.leading() * T.coeff(i) * r ** ((d - i) // 2)
+            for i in range(1, d)),
         conj_to_power=pw_ell,
-        conj_to_pm_chebyshev=(ch_sign, ch_ell) if ch_ell is not None else None,
+        conj_to_pm_chebyshev=(sign, ch_ell) if ch_ell is not None else None,
         disintegrated=not (pw_closure or ch_closure),
         hints=tuple(hints))
 

@@ -414,6 +414,9 @@ class CycElem:
     def __repr__(self):
         return f"CycElem({self.field}, {scalar_str(self)})"
 
+    def __str__(self):
+        return scalar_str(self)
+
 
 def _trim(v):
     while v and not v[-1]:
@@ -528,14 +531,14 @@ def rational_nth_roots(c: Fraction, n: int) -> list:
 def nth_roots(c, n: int, field: FieldDescriptor) -> list:
     """All in-field x with x^n = c that have the form (rational)*(root of unity).
 
-    Over Q this is complete.  Over Q(zeta_m) roots outside that shape (none
-    arise in this artifact's constructions) are not found.
+    For n = 1 that is c itself, whatever its form.  Over Q this is
+    complete.  Over Q(zeta_m) other roots are not found.
     """
     if field.kind == RATIONALS:
         return rational_nth_roots(Fraction(c), n)
     c = field.coerce(c)
-    if not c:
-        return [field.zero()]
+    if not c or n == 1:
+        return [c]
     found = []
     for w in roots_of_unity(field):
         u = c / (w ** n)

@@ -1,7 +1,8 @@
 """Surface syntax for polynomials and plane curves.
 
 Grammar: integer and fraction literals (`p/q`), variables `x` and `y`,
-the cyclotomic generator `z`, operators `+ - * ^` with explicit `*`,
+the cyclotomic generator `z`, operators `+ - * ^` with explicit `*`
+(`+` and `-` are also unary signs on any factor, as in `x*-3`),
 and parentheses.  An optional field header `field Q` or
 `field Q(zeta N)` selects the coefficient field.  The printers on Poly
 and BivarPoly emit exactly this grammar, so parse(print(p)) == p.
@@ -109,14 +110,7 @@ class _Parser:
         return out
 
     def expr(self) -> BivarPoly:
-        tok = self.peek()
-        negate = False
-        if tok is not None and tok[0] == "op" and tok[1] in "+-":
-            self.next()
-            negate = tok[1] == "-"
         acc = self.term()
-        if negate:
-            acc = -acc
         while True:
             tok = self.peek()
             if tok is None or tok[0] != "op" or tok[1] not in "+-":
@@ -126,13 +120,24 @@ class _Parser:
             acc = acc - rhs if tok[1] == "-" else acc + rhs
 
     def term(self) -> BivarPoly:
-        acc = self.power()
+        acc = self.signed()
         while True:
             tok = self.peek()
             if tok is None or tok[0] != "op" or tok[1] != "*":
                 return acc
             self.next()
-            acc = acc * self.power()
+            acc = acc * self.signed()
+
+    def signed(self) -> BivarPoly:
+        """A power after any run of unary signs, read in a loop."""
+        negate = False
+        tok = self.peek()
+        while tok is not None and tok[0] == "op" and tok[1] in "+-":
+            self.next()
+            negate ^= tok[1] == "-"
+            tok = self.peek()
+        out = self.power()
+        return -out if negate else out
 
     def power(self) -> BivarPoly:
         base = self.atom()

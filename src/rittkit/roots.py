@@ -137,7 +137,7 @@ def in_field_roots(F: Poly) -> list:
     else:
         # the search is complete for roots q*w; what it leaves is left
         # to the formulas of degree 1 and 2
-        found = _unity_scaled_roots(F)
+        found = _unity_scaled_roots(F) if F.degree > 1 else []
         roots.extend(found)
         for r in found:
             F = deflate(F, r)

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conjugacy import _scale_polynomial, classify
+from .conjugacy import _centred, _conj_scales, _scale_polynomial
 from .decompose import equal_degree_linear, left_factor_solve
 from .errors import HypothesisViolationError, ResourceCapError, RittKitError
-from .field import nth_roots_of_unity, scalar_sort_key
+from .field import scalar_sort_key
 from .poly import (LinearPoly, Poly, compose, conjugate, deflate, iterate,
-                   poly_divmod)
+                   poly_divmod, power_shape)
 from .roots import in_field_roots
 
 INFINITE = "Infinite"
@@ -74,7 +74,7 @@ def gamma_group(A: Poly) -> LinearGroup:
     fieldK = A.field
     d = A.degree
     G, v = _scale_polynomial(A, A)
-    cyclic = classify(A).is_cyclic
+    cyclic = power_shape(A) is not None
     if G.is_zero():
         if not cyclic:
             raise RittKitError("infinite symmetry group for a non-cyclic input")
@@ -106,16 +106,14 @@ def gamma_group(A: Poly) -> LinearGroup:
 
 
 def _commuting_linears(F: Poly) -> list:
-    """All in-field linear ell with F o ell = ell o F."""
-    fieldK = F.field
-    d = F.degree
-    c = F.coeff(d - 1) / (d * F.leading())
-    out = []
-    for a in nth_roots_of_unity(fieldK, d - 1):
-        ell = LinearPoly.make(fieldK, a, c * (a - fieldK.one()))
-        if compose(F, ell.to_poly()) == compose(ell.to_poly(), F):
-            out.append(ell)
-    return out
+    """All in-field linear ell with F o ell = ell o F.
+
+    Conjugated by x + s to the centred C, these are the scalings a*x with
+    a a root of _conj_scales(C, C), so ell = a*x + s*(a - 1).
+    """
+    s, C = _centred(F)
+    return [LinearPoly.make(F.field, a, s * (a - 1))
+            for a in in_field_roots(_conj_scales(C, C))]
 
 
 def m_infinity(f: Poly, iter_bound: int | None = None) -> LinearGroup:
@@ -191,7 +189,7 @@ def align_iterates(f: Poly, g: Poly, L: LinearPoly, n: int):
         raise HypothesisViolationError("f and g need equal degree >= 2")
     if n < 1:
         raise HypothesisViolationError("n must be >= 1")
-    if classify(f).is_cyclic or classify(g).is_cyclic:
+    if power_shape(f) is not None or power_shape(g) is not None:
         raise HypothesisViolationError("alignment needs non-cyclic inputs")
     fieldK = f.field
     if iterate(f, n) != compose(L.to_poly(), iterate(g, n)):

@@ -300,3 +300,23 @@ def test_classify_coefficient_beyond_float_range():
     out = run_cli_limited(["classify", "--f", "2^1100*x^2"])
     assert out.returncode == 0
     assert out.stdout.startswith("command: classify\n")
+
+
+def test_solve_eta_first_power_lead_in_field():
+    code, out = run(["solve-eta", "--field", "Q(zeta 5)", "--f", "x^2",
+                     "--p", "(1+z)*x"])
+    assert code == 0
+    assert out == "command: solve-eta\neta: (1 + z)*x^2\n"
+
+
+def test_extension_equation_prints_scalar():
+    code, out = run(["solve-eta", "--field", "Q(zeta 3)", "--f", "x^2",
+                     "--p", "2*x^2"])
+    assert code == 4
+    assert "equation: t^2 = 2\n" in out
+
+
+def test_classify_unary_minus_after_operator():
+    code, out = run(["classify", "--f", "x^3 + -2*x"])
+    assert code == 0
+    assert out == run(["classify", "--f", "x^3 - 2*x"])[1]

@@ -121,3 +121,16 @@ def test_from_vector_reduces():
     # z^2 = -1 in Q(zeta_4), vectors longer than phi(4) must reduce
     v = CycElem.from_vector(K, [0, 0, 1])
     assert v == K.coerce(-1)
+
+
+def test_nth_roots_first_power_is_identity():
+    K = cyclotomic_field(5)
+    c = K.coerce(1) + K.zeta()
+    assert nth_roots(c, 1, K) == [c]
+    assert nth_roots(Fraction(3, 2), 1, QQ) == [Fraction(3, 2)]
+
+
+def test_cycelem_str_is_scalar_str():
+    K = cyclotomic_field(3)
+    assert str(K.coerce(2)) == "2"
+    assert str(K.zeta() + 1) == scalar_str(K.zeta() + 1) == "1 + z"
