@@ -2,7 +2,9 @@
 
 Right/left factor solvers, complete decomposition chains, the
 gcd-degree common-factor refinement for a o b = c o d, and the
-splitting of x^s P(x)^n compositions.
+splitting of x^s P(x)^n compositions.  Right factors are read off one
+power-series root of F's top coefficients (poly.series_root), left
+factors off the h-adic digits of F; a full composition verifies both.
 """
 
 from __future__ import annotations
@@ -12,15 +14,20 @@ from math import gcd
 
 from .errors import (FieldExtensionRequiredError, HypothesisViolationError,
                      ResourceCapError, RittKitError)
-from .field import nth_roots
-from .poly import (LinearPoly, Poly, _rev_compose_trunc, _rev_trunc, compose,
-                   power_form, solve_top_down)
+from .field import nth_roots, scalar_sort_key
+from .poly import (LinearPoly, Poly, _top_root, compose, poly_divmod,
+                   power_form)
 
 DECOMP_DEGREE_CAP = 64
 
 
 def right_factor_solve(F: Poly, g: Poly) -> list:
-    """All h in the current field with F = g o h."""
+    """All h in the current field with F = g o h.
+
+    The top e+1 coefficients of g o h are those of g_m*(h + c)^m with
+    c = g_(m-1)/(m*g_m), so each lead a with a^m = lc(F)/g_m gives the one
+    candidate h = a*rev(P) - c, P the monic m-th root series of F's top.
+    """
     if g.degree < 1:
         raise RittKitError("left factor must be nonconstant")
     if F.degree < 1 or F.degree % g.degree:
@@ -34,55 +41,48 @@ def right_factor_solve(F: Poly, g: Poly) -> list:
         raise FieldExtensionRequiredError(
             "leading coefficient equation has no in-field root",
             equation=f"t^{m} = {lead_eq}")
-    top = _rev_trunc(F, e)
+    root = Poly.make(field, _top_root(F, m, e + 1)[::-1])
+    c = g.coeff(m - 1) / (m * g.leading())
     out = []
     for a in leads:
-        cand = solve_top_down(
-            field, a, e, e, m * g.leading() * a ** (m - 1),
-            lambda h, j: top[j] - _rev_compose_trunc(g, h, j)[j])
+        cand = root.scale(a) - c
         if compose(g, cand) == F and cand not in out:
             out.append(cand)
     return out
 
 
 def left_factor_solve(F: Poly, h: Poly) -> Poly | None:
-    """The unique g with F = g o h, or None."""
+    """The unique g with F = g o h, or None.
+
+    Reads g's coefficients off the h-adic digits of F (von zur Gathen
+    1990): each remainder of the repeated division by h must be constant,
+    so the first one that is not ends the search.
+    """
     if h.degree < 1:
         raise RittKitError("right factor must be nonconstant")
     if F.degree < 1 or F.degree % h.degree:
         return None
-    field = F.field
-    m = F.degree // h.degree
-    dh = h.degree
-    powers = [Poly.constant(field, 1)]
-    for _ in range(m):
-        powers.append(powers[-1] * h)
+    digits = []
     R = F
-    gs = [field.zero()] * (m + 1)
-    for i in range(m, -1, -1):
-        c = R.coeff(i * dh) / powers[i].leading()
-        gs[i] = c
-        if c:
-            R = R - powers[i].scale(c)
-    if not R.is_zero():
-        return None
-    g = Poly.make(field, gs)
+    for _ in range(F.degree // h.degree):
+        R, r = poly_divmod(R, h)
+        if not r.is_constant():
+            return None
+        digits.append(r.constant_term())
+    g = Poly.make(F.field, digits + [R.constant_term()])
     return g if compose(g, h) == F else None
 
 
 def normalized_right_factor(F: Poly, e: int) -> tuple | None:
     """(g, h) with F = g o h, h monic of degree e with h(0) = 0, if any.
 
-    Such an h is unique, pinned down by the top e-1 coefficients of F.
+    Such an h is unique: its top coefficients are those of the monic
+    m-th root of F/lc(F), m = deg F / e, and h(0) = 0 fixes the rest.
     """
     if F.degree < 2 or e < 1 or F.degree % e:
         return None
-    field = F.field
-    m = F.degree // e
-    top = [c / F.leading() for c in _rev_trunc(F, e - 1)]
-    xm = Poly.monomial(field, m)
-    hp = solve_top_down(field, 1, e, e - 1, m,
-                        lambda h, j: top[j] - _rev_compose_trunc(xm, h, j)[j])
+    root = _top_root(F, F.degree // e, e)
+    hp = Poly.make(F.field, [0] + root[::-1])
     g = left_factor_solve(F, hp)
     if g is None:
         return None
@@ -102,6 +102,18 @@ class DecompositionChain:
     def degree_sequence(self) -> tuple:
         return tuple(f.degree for f in self.factors)
 
+    def verify(self, f: Poly) -> bool:
+        """Recompute the claim: a complete, normalized decomposition of f.
+
+        The factors compose to f, each has degree >= 2 and no normalized
+        right factor, and every inner factor is monic with h(0) = 0.
+        """
+        return (self.recompose() == f
+                and all(p.degree >= 2 and _is_indecomposable(p)
+                        for p in self.factors)
+                and all(p.leading() == 1 and not p.constant_term()
+                        for p in self.factors[1:]))
+
 
 def _is_indecomposable(f: Poly) -> bool:
     for e in range(2, f.degree):
@@ -111,7 +123,6 @@ def _is_indecomposable(f: Poly) -> bool:
 
 
 def _chain_sort_key(chain: DecompositionChain):
-    from .field import scalar_sort_key
     coeff_key = tuple(tuple(scalar_sort_key(c) for c in f.coeffs)
                       for f in chain.factors)
     return (chain.degree_sequence(), coeff_key)

@@ -395,6 +395,9 @@ def solve_top_down(field: FieldDescriptor, lead, deg: int, steps: int,
     composition (_rev_compose_trunc).  The identity must be linear in
     h[deg-j] at that coefficient with the nonzero slope pivot, and blind
     to the lower coefficients of h; callers verify the result in full.
+    It serves identities with the unknown on both sides, such as the
+    intertwiners f o p = p o eta; an unknown that is an n-th root of a
+    known series is read off series_root instead, in O(deg^2).
     """
     h = [field.zero()] * deg + [field.coerce(lead)]
     for j in range(1, steps + 1):
@@ -402,17 +405,46 @@ def solve_top_down(field: FieldDescriptor, lead, deg: int, steps: int,
     return Poly.make(field, h)
 
 
+def series_root(top: list, n: int, terms: int) -> list:
+    """The first `terms` coefficients of Q^(1/n), Q = top[0] + top[1]*x + ...
+
+    Needs Q_0 = 1, so that P_0 = 1 picks the root.  J. C. P. Miller's
+    recurrence k*P_k = sum_{i=1..k} ((1/n + 1)*i - k)*Q_i*P_(k-i) costs
+    O(terms^2) field operations (Knuth, TAOCP vol. 2, 4.7).  The weights
+    are integers over n*k, so the one division per term is a product by a
+    Fraction, never a field inverse.
+    """
+    nonzero = [(i, q) for i, q in enumerate(top[1:terms], 1) if q]
+    out = [top[0]]
+    zero = top[0] * 0
+    for k in range(1, terms):
+        acc = zero
+        for i, q in nonzero:
+            if i > k:
+                break
+            w = (n + 1) * i - n * k
+            if w:
+                acc = acc + q * out[k - i] * w
+        out.append(acc * Fraction(1, n * k))
+    return out
+
+
+def _top_root(F: Poly, n: int, terms: int) -> list:
+    """The first `terms` coefficients of (rev(F)/lc(F))^(1/n).
+
+    Highest first, they are the top coefficients of the monic h whose
+    n-th power agrees with F/lc(F) in its top `terms` coefficients.
+    """
+    inv = 1 / F.leading()
+    return series_root([c * inv for c in _rev_trunc(F, terms - 1)], n, terms)
+
+
 def poly_nth_root(F: Poly, n: int, lead_root) -> Poly | None:
     """The h with h^n = F and leading coefficient lead_root, if it exists."""
     if F.is_zero() or F.degree % n:
         return None
     e = F.degree // n
-    field = F.field
-    xn = Poly.monomial(field, n)
-    top = _rev_trunc(F, e)
-    cand = solve_top_down(
-        field, lead_root, e, e, n * field.coerce(lead_root) ** (n - 1),
-        lambda h, j: top[j] - _rev_compose_trunc(xn, h, j)[j])
+    cand = Poly.make(F.field, _top_root(F, n, e + 1)[::-1]).scale(lead_root)
     return cand if cand ** n == F else None
 
 
