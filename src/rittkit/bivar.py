@@ -1,9 +1,9 @@
 """Bivariate polynomials, resultant elimination, and plane-curve values.
 
 A BivarPoly stores rows indexed by the power of y, each row a Poly in x.
-Resultants are computed by evaluation and Lagrange interpolation, skipping
-sample points where a leading coefficient vanishes, so every answer is the
-exact symbolic resultant.
+Resultants and gcds are computed by evaluation and Lagrange interpolation,
+skipping sample points where a leading coefficient vanishes; a resultant
+is exact by its degree bound, a gcd by exact division of both inputs.
 """
 
 from __future__ import annotations
@@ -143,10 +143,7 @@ class BivarPoly:
 
     def content_y(self) -> Poly:
         """gcd over K[x] of the y-coefficient rows (monic)."""
-        g = Poly(self.field, ())
-        for r in self.rows:
-            g = poly_gcd(g, r)
-        return g
+        return _row_gcd(self.field, self.rows)
 
     def __str__(self):
         if self.is_zero():
@@ -185,17 +182,16 @@ def affine_substitution_coeffs(A: Poly, alpha, beta) -> list:
 
 
 def _sample_points(field, needed, bad_test):
-    """First `needed` integer sample values passing bad_test."""
-    pts = []
-    t = 0
-    while len(pts) < needed:
+    """The first `needed` integer sample values passing bad_test, lazily."""
+    found, t = 0, 0
+    while found < needed:
         v = field.coerce(t)
         if not bad_test(v):
-            pts.append(v)
+            found += 1
+            yield v
         t += 1
         if t > 20 * needed + 50:
             raise RittKitError("could not find enough good sample points")
-    return pts
 
 
 def resultant_y(G: BivarPoly, H: BivarPoly) -> Poly:
@@ -216,7 +212,7 @@ def resultant_y(G: BivarPoly, H: BivarPoly) -> Poly:
     def bad(v):
         return (not lc_g.evaluate(v)) or (not lc_h.evaluate(v))
 
-    pts = _sample_points(field, bound + 1, bad)
+    pts = list(_sample_points(field, bound + 1, bad))
     vals = [(t, resultant_univar(G.eval_x(t), H.eval_x(t))) for t in pts]
     return lagrange_interpolate(field, vals)
 
@@ -238,40 +234,79 @@ def _primitive_y(G: BivarPoly) -> tuple:
     return c, prim
 
 
-def _pseudo_rem_y(A: BivarPoly, B: BivarPoly) -> BivarPoly:
-    """Pseudo-remainder of A by B as polynomials in y over K[x]."""
-    lb = B.rows[B.deg_y]
-    while not A.is_zero() and A.deg_y >= B.deg_y:
-        la = A.rows[A.deg_y]
-        shift = A.deg_y - B.deg_y
-        scaled_b = BivarPoly.make(
-            A.field, [Poly(A.field, ())] * shift + [r * la for r in B.rows])
-        A = BivarPoly.make(A.field, [r * lb for r in A.rows]) - scaled_b
-    return A
+def _row_gcd(field, rows) -> Poly:
+    """Monic gcd of Polys in x, lowest degree first, stopping at degree 0."""
+    g = Poly(field, ())
+    for r in sorted(rows, key=lambda r: r.degree):
+        g = poly_gcd(g, r)
+        if g.degree == 0:
+            break
+    return g
+
+
+def _divides_y(B: BivarPoly, A: BivarPoly) -> bool:
+    try:
+        bivar_exact_div_y(A, B)
+    except RittKitError:
+        return False
+    return True
+
 
 def bivar_gcd(G: BivarPoly, H: BivarPoly) -> BivarPoly:
-    """gcd in K[x][y], primitive-PRS, normalized to monic content."""
+    """gcd in K[x][y], normalized to monic content and leading coefficient 1.
+
+    Brown's dense interpolation (Brown 1971).  At each integer x0 where
+    both leading rows survive, the monic gcd of G(x0, y) and H(x0, y) has
+    y-degree at least that of the gcd, with equality at all but finitely
+    many x0.  Scaled by gamma(x0), gamma the gcd of the leading rows, the
+    samples of least degree are the values of gamma/lc(P) * P, P the
+    primitive gcd, whose x-degree is at most deg gamma + min(deg_x).  Row
+    by row interpolation gives a candidate; its primitive part is the
+    gcd once it divides both inputs, because a common divisor of at least
+    the gcd's y-degree is the gcd.  A sample of degree 0 ends the search.
+    """
     if G.is_zero():
         return H
     if H.is_zero():
         return G
-    cg, pg = _primitive_y(G)
-    ch, ph = _primitive_y(H)
-    cont = poly_gcd(cg, ch)
-    A, B = (pg, ph) if pg.deg_y >= ph.deg_y else (ph, pg)
-    while not B.is_zero() and B.deg_y > 0:
-        R = _pseudo_rem_y(A, B)
-        if not R.is_zero():
-            _, R = _primitive_y(R)
-        A, B = B, R
-    if B.is_zero():
-        prim = A
+    field = G.field
+    lc_g, lc_h = G.rows[-1], H.rows[-1]
+    prim = BivarPoly.make(field, [Poly.constant(field, 1)])
+    gamma, vals = None, []
+
+    def bad(v):
+        return (not lc_g.evaluate(v)) or (not lc_h.evaluate(v))
+
+    # the unlucky samples are roots in x of the cofactors' resultant, and
+    # at most deg_x G + deg_x H + 1 samples are interpolated
+    limit = G.deg_x * H.deg_y + H.deg_x * G.deg_y + G.deg_x + H.deg_x + 1
+    for x0 in _sample_points(field, limit, bad):
+        g = poly_gcd(G.eval_x(x0), H.eval_x(x0))
+        if g.degree == 0:
+            break
+        if gamma is None:
+            gamma = poly_gcd(lc_g, lc_h)
+            points = gamma.degree + min(G.deg_x, H.deg_x) + 1
+        if not vals or g.degree < vals[0][1].degree:
+            vals = []
+        elif g.degree > vals[0][1].degree or len(vals) == points:
+            continue
+        vals.append((x0, g.scale(gamma.evaluate(x0))))
+        n = len(vals)
+        if n == points or (n >= 2 and not n & (n - 1)):
+            cand = BivarPoly.make(field, [
+                lagrange_interpolate(field, [(t, v.coeff(k)) for t, v in vals])
+                for k in range(g.degree + 1)])
+            if gamma.degree > 0:
+                cand = _primitive_y(cand)[1]
+            if _divides_y(cand, G) and _divides_y(cand, H):
+                prim = cand
+                break
     else:
-        prim = BivarPoly.make(G.field, [Poly.constant(G.field, 1)])
-    out = BivarPoly.make(G.field, [r * cont for r in prim.rows])
-    # scale so the canonical leading data is monic-ish
-    lead = out.rows[out.deg_y].leading()
-    return out.scale(G.field.one() / lead)
+        raise RittKitError("no bivariate gcd candidate passed its division")
+    cont = _row_gcd(field, G.rows + H.rows)
+    out = BivarPoly.make(field, [r * cont for r in prim.rows])
+    return out.scale(field.one() / out.rows[-1].leading())
 
 
 def bivar_exact_div_y(A: BivarPoly, B: BivarPoly) -> BivarPoly:
@@ -293,22 +328,6 @@ def bivar_exact_div_y(A: BivarPoly, B: BivarPoly) -> BivarPoly:
     return BivarPoly.make(field, out)
 
 
-def _squarefree_by_specialization(prim: BivarPoly) -> bool:
-    """True when some good specialization of x certifies squarefreeness.
-
-    A repeated y-factor survives into gcd(prim(x0, y), d/dy prim(x0, y))
-    at all but finitely many x0, so a trivial specialized gcd at a sample
-    where the leading row keeps its degree proves the bivariate gcd is
-    constant.  False means undecided, not non-squarefree.
-    """
-    lc = prim.rows[prim.deg_y]
-    for x0 in _sample_points(prim.field, 4, lambda v: not lc.evaluate(v)):
-        a = prim.eval_x(x0)
-        if poly_gcd(a, a.derivative()).degree == 0:
-            return True
-    return False
-
-
 def bivar_squarefree(G: BivarPoly) -> BivarPoly:
     """Squarefree part.
 
@@ -322,10 +341,9 @@ def bivar_squarefree(G: BivarPoly) -> BivarPoly:
     cx, G = _primitive_y(G)
     cy, Gt = _primitive_y(G.transpose())
     prim = Gt.transpose()
-    if not _squarefree_by_specialization(prim):
-        g = bivar_gcd(prim, prim.derivative_y())
-        if g.deg_y >= 1:
-            prim = bivar_exact_div_y(prim, g)
+    g = bivar_gcd(prim, prim.derivative_y())
+    if g.deg_y >= 1:
+        prim = bivar_exact_div_y(prim, g)
     lines = (BivarPoly.from_univar(squarefree_part(cx), "x")
              * BivarPoly.from_univar(squarefree_part(cy), "y"))
     return lines * prim

@@ -489,10 +489,6 @@ def roots_of_unity(field: FieldDescriptor) -> tuple:
     return tuple(powers)
 
 
-def nth_roots_of_unity(field: FieldDescriptor, n: int) -> list:
-    return [w for w in roots_of_unity(field) if w ** n == field.one()]
-
-
 def _int_nth_root(x: int, n: int):
     """Exact integer n-th root of x >= 0, or None."""
     if x < 0:

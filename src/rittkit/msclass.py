@@ -45,8 +45,8 @@ def _push_x(G: BivarPoly, f: Poly) -> BivarPoly:
     field = G.field
     Gt = G.transpose()
     lead = Gt.rows[-1]
-    ys = _sample_points(field, G.deg_y * f.degree + 1,
-                        lambda y0: not lead.evaluate(y0))
+    ys = list(_sample_points(field, G.deg_y * f.degree + 1,
+                             lambda y0: not lead.evaluate(y0)))
     slices = [_univar_image(Gt.eval_x(y0), f) for y0 in ys]
     return BivarPoly.make(field, [
         lagrange_interpolate(field, [(y0, S.coeff(k))

@@ -385,26 +385,6 @@ def _rev_compose_trunc(A: Poly, B: Poly, m: int) -> list:
     return out
 
 
-def solve_top_down(field: FieldDescriptor, lead, deg: int, steps: int,
-                   pivot, residual) -> Poly:
-    """The unknown h = lead*x^deg + ... of a triangular system, top down.
-
-    Sets h[deg-j] += residual(h, j) / pivot for j = 1..steps, where
-    residual(h, j) is the defect in the j-th coefficient from the top of
-    the defining identity, read off a truncated top-coefficient
-    composition (_rev_compose_trunc).  The identity must be linear in
-    h[deg-j] at that coefficient with the nonzero slope pivot, and blind
-    to the lower coefficients of h; callers verify the result in full.
-    It serves identities with the unknown on both sides, such as the
-    intertwiners f o p = p o eta; an unknown that is an n-th root of a
-    known series is read off series_root instead, in O(deg^2).
-    """
-    h = [field.zero()] * deg + [field.coerce(lead)]
-    for j in range(1, steps + 1):
-        h[deg - j] = h[deg - j] + residual(Poly(field, tuple(h)), j) / pivot
-    return Poly.make(field, h)
-
-
 def series_root(top: list, n: int, terms: int) -> list:
     """The first `terms` coefficients of Q^(1/n), Q = top[0] + top[1]*x + ...
 

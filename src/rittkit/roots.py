@@ -151,11 +151,3 @@ def in_field_roots(F: Poly) -> list:
             out.append(r)
     out.sort(key=scalar_sort_key)
     return out
-
-
-def is_square_rational(c: Fraction) -> bool:
-    c = Fraction(c)
-    if c < 0:
-        return False
-    return (isqrt(c.numerator) ** 2 == c.numerator
-            and isqrt(c.denominator) ** 2 == c.denominator)

@@ -16,7 +16,7 @@ from .errors import (FieldExtensionRequiredError, HypothesisViolationError,
                      ResourceCapError, RittKitError)
 from .field import nth_roots
 from .poly import (LinearPoly, Poly, _rev_compose_trunc, compose, conjugate,
-                   iterate, power_form, power_shape, solve_top_down)
+                   iterate, power_form, power_shape, series_root)
 from .roots import in_field_roots
 
 DEFAULT_N_MAX = 4
@@ -45,12 +45,15 @@ def solve_eta(f: Poly, p: Poly) -> Poly | None:
 def solve_intertwiner(left: Poly, right: Poly, deg_bound: int) -> list:
     """All p with 1 <= deg p <= deg_bound and left o p = p o right.
 
-    For each degree b the leading coefficient satisfies
-    lc(left) lc(p)^(delta-1) = lc(right)^b; the rest of p follows by a
-    triangular recursion whose pivot delta*lc(left)*lc(p)^(delta-1) never
-    vanishes in characteristic zero.  The recursion only ever looks at
-    the top coefficients of the two compositions, so it runs on truncated
-    reversed series; a full composition check confirms each candidate.
+    For each degree b the leading coefficient a satisfies
+    lc(left) a^(delta-1) = lc(right)^b.  With c = left_(delta-1) /
+    (delta*lc(left)), left o p and lc(left)*(p + c)^delta agree in their
+    top b + 1 coefficients, so p + c is a times the delta-th root of the
+    top of p o right over its lead.  Reading p off that root
+    (poly.series_root) and recomputing the top of p o right multiplies
+    the number of correct top coefficients by delta, so b.bit_length()
+    rounds from p = a*x^b fix all of p.  A truncated top-coefficient
+    comparison and then a full composition check confirm each candidate.
     """
     if left.degree != right.degree or left.degree < 2:
         raise RittKitError("need equal degrees >= 2")
@@ -58,6 +61,7 @@ def solve_intertwiner(left: Poly, right: Poly, deg_bound: int) -> list:
         raise RittKitError("deg_bound must be >= 1")
     field = left.field
     delta = left.degree
+    c = left.coeff(delta - 1) / (delta * left.leading())
     found = []
     blocked = None
     for b in range(1, deg_bound + 1):
@@ -68,10 +72,12 @@ def solve_intertwiner(left: Poly, right: Poly, deg_bound: int) -> list:
             blocked = f"t^{delta - 1} = {target}"
             continue
         for a in leads:
-            cand = solve_top_down(
-                field, a, b, b, delta * left.leading() * a ** (delta - 1),
-                lambda p, j: (_rev_compose_trunc(p, right, j)[j]
-                              - _rev_compose_trunc(left, p, j)[j]))
+            cand = Poly.monomial(field, b, a)
+            for _ in range(b.bit_length()):
+                top = _rev_compose_trunc(cand, right, b)
+                inv = 1 / top[0]
+                root = series_root([t * inv for t in top], delta, b + 1)
+                cand = Poly.make(field, root[::-1]).scale(a) - c
             if _rev_compose_trunc(left, cand, m) != \
                     _rev_compose_trunc(cand, right, m):
                 continue

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from rittkit import QQ, CycElem, cyclotomic_field, nth_roots, roots_of_unity
-from rittkit.field import (cyclotomic_polynomial, nth_roots_of_unity,
-                           rational_nth_roots, scalar_str)
+from rittkit.field import (cyclotomic_polynomial, rational_nth_roots,
+                           scalar_str)
 
 
 def test_cyclotomic_polynomial_small():
@@ -68,17 +68,6 @@ def test_roots_of_unity_complete():
     assert len(set(mus)) == 12
     for mu in mus:
         assert mu ** 12 == K.one()
-
-
-def test_nth_roots_of_unity_in_subfield():
-    K = cyclotomic_field(12)
-    cubics = nth_roots_of_unity(K, 3)
-    assert len(cubics) == 3
-    for w in cubics:
-        assert w ** 3 == K.one()
-    # over Q only +-1 exist
-    assert nth_roots_of_unity(QQ, 2) == [Fraction(1), Fraction(-1)]
-    assert nth_roots_of_unity(QQ, 3) == [Fraction(1)]
 
 
 def test_rational_nth_roots():

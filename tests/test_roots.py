@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rittkit import QQ, Poly, cyclotomic_field, in_field_roots
 from rittkit.cli import run_command
 from rittkit.field import roots_of_unity
-from rittkit.roots import is_square_rational, rational_roots
+from rittkit.roots import rational_roots
 
 
 def test_rational_roots_examples():
@@ -66,13 +66,6 @@ def test_in_field_roots_scaled_unity():
     assert len(roots) == 4
     for r in roots:
         assert r ** 4 == K.coerce(16)
-
-
-def test_is_square_rational():
-    assert is_square_rational(Fraction(9, 4))
-    assert not is_square_rational(Fraction(2))
-    assert not is_square_rational(Fraction(-1))
-    assert is_square_rational(Fraction(0))
 
 
 def test_in_field_roots_low_degree_unity_scaled():
