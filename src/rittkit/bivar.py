@@ -9,9 +9,12 @@ is exact by its degree bound, a gcd by exact division of both inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 
 from .errors import FieldMismatchError, RittKitError
-from .field import FieldDescriptor, dense_mul
+from .field import (QQ, FieldDescriptor, dense_mul, int_pseudo_divmod,
+                    int_vector)
 from .poly import Poly, exact_div, poly_divmod, poly_gcd, squarefree_part
 
 
@@ -39,10 +42,17 @@ def lagrange_interpolate(field: FieldDescriptor, points) -> Poly:
 
 
 def resultant_univar(A: Poly, B: Poly):
-    """Resultant of two univariate polynomials over their field."""
+    """Resultant of two univariate polynomials over their field.
+
+    Over Q, Res(a/da, b/db) = Res(a, b)/(da^deg b * db^deg a) for integer
+    vectors a and b, whose resultant comes from the subresultant sequence.
+    """
     field = A.field
     if A.is_zero() or B.is_zero():
         return field.zero()
+    if field == QQ and A.degree > 0 and B.degree > 0:
+        (a, da), (b, db) = int_vector(A.coeffs), int_vector(B.coeffs)
+        return Fraction(_int_resultant(a, b), da ** B.degree * db ** A.degree)
     sign = 1
     acc = field.one()
     while B.degree > 0:
@@ -55,6 +65,38 @@ def resultant_univar(A: Poly, B: Poly):
         A, B = B, R
     acc = acc * B.coeffs[0] ** A.degree
     return acc if sign == 1 else -acc
+
+
+def _int_resultant(a: list, b: list) -> int:
+    """Res(a, b) of integer lists of degree >= 1, by the subresultant
+    remainder sequence (Collins 1967; Cohen, GTM 138, Alg. 3.3.7).
+
+    Each pseudo-remainder is divided by g*h^delta, a factor it is known
+    to have, so the entries stay at the size of minors of the Sylvester
+    matrix instead of growing as a Fraction Euclid's do.
+    """
+    ca, cb = gcd(*a), gcd(*b)
+    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    a, b = [x // ca for x in a], [x // cb for x in b]
+    s = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            s = -s
+    g = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            s = -s
+        f, _, r = int_pseudo_divmod(a, b)
+        if not r:
+            return 0
+        # lc(b)^(delta+1)*a == q*b + prem, and f divides lc(b)^(delta+1)
+        scale, div = b[-1] ** (delta + 1) // f, g * h ** delta
+        a, b = b, [x * scale // div for x in r]
+        g = a[-1]
+        h = g ** delta * h // h ** delta            # h^(1-delta)*g^delta
+    return s * t * (b[0] ** (len(a) - 1) // h ** (len(a) - 2))
 
 
 @dataclass(frozen=True)
@@ -244,14 +286,6 @@ def _row_gcd(field, rows) -> Poly:
     return g
 
 
-def _divides_y(B: BivarPoly, A: BivarPoly) -> bool:
-    try:
-        bivar_exact_div_y(A, B)
-    except RittKitError:
-        return False
-    return True
-
-
 def bivar_gcd(G: BivarPoly, H: BivarPoly) -> BivarPoly:
     """gcd in K[x][y], normalized to monic content and leading coefficient 1.
 
@@ -269,9 +303,18 @@ def bivar_gcd(G: BivarPoly, H: BivarPoly) -> BivarPoly:
         return H
     if H.is_zero():
         return G
+    return _gcd_cofactor(G, H)[0]
+
+
+def _gcd_cofactor(G: BivarPoly, H: BivarPoly) -> tuple:
+    """(bivar_gcd(G, H), G divided by it), for nonzero G and H.
+
+    The cofactor is the quotient that proved the candidate, so a caller
+    that needs it divides nothing again.
+    """
     field = G.field
     lc_g, lc_h = G.rows[-1], H.rows[-1]
-    prim = BivarPoly.make(field, [Poly.constant(field, 1)])
+    prim, cof = BivarPoly.make(field, [Poly.constant(field, 1)]), G
     gamma, vals = None, []
 
     def bad(v):
@@ -299,14 +342,21 @@ def bivar_gcd(G: BivarPoly, H: BivarPoly) -> BivarPoly:
                 for k in range(g.degree + 1)])
             if gamma.degree > 0:
                 cand = _primitive_y(cand)[1]
-            if _divides_y(cand, G) and _divides_y(cand, H):
-                prim = cand
-                break
+            try:
+                quo = bivar_exact_div_y(G, cand)
+                bivar_exact_div_y(H, cand)
+            except RittKitError:
+                continue
+            prim, cof = cand, quo
+            break
     else:
         raise RittKitError("no bivariate gcd candidate passed its division")
     cont = _row_gcd(field, G.rows + H.rows)
     out = BivarPoly.make(field, [r * cont for r in prim.rows])
-    return out.scale(field.one() / out.rows[-1].leading())
+    lead = out.rows[-1].leading()
+    cof = BivarPoly.make(field, [exact_div(r, cont).scale(lead)
+                                 for r in cof.rows])
+    return out.scale(field.one() / lead), cof
 
 
 def bivar_exact_div_y(A: BivarPoly, B: BivarPoly) -> BivarPoly:
@@ -341,9 +391,8 @@ def bivar_squarefree(G: BivarPoly) -> BivarPoly:
     cx, G = _primitive_y(G)
     cy, Gt = _primitive_y(G.transpose())
     prim = Gt.transpose()
-    g = bivar_gcd(prim, prim.derivative_y())
-    if g.deg_y >= 1:
-        prim = bivar_exact_div_y(prim, g)
+    if prim.deg_y >= 1:
+        prim = _gcd_cofactor(prim, prim.derivative_y())[1]
     lines = (BivarPoly.from_univar(squarefree_part(cx), "x")
              * BivarPoly.from_univar(squarefree_part(cy), "y"))
     return lines * prim

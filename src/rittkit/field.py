@@ -25,9 +25,9 @@ CYCLOTOMIC = "Cyclotomic"
 CYCLOTOMIC_DEGREE_CAP = 256
 
 
-# Below this many terms per operand the schoolbook product of Fractions beats
-# the conversions of the Kronecker product.  CycElem products multiply
-# integer numerators, so they always take the schoolbook loop.
+# Below this many terms per operand a schoolbook product (of Fractions, or
+# of integers in int_mul) beats the packing of the Kronecker product.
+# CycElem products always take the integer schoolbook loop of dense_mul.
 KRONECKER_MIN_LEN = 8
 
 
@@ -36,15 +36,17 @@ def dense_mul(a, b, zero, top=None) -> list:
 
     With top given, only the terms of degree 0..top are computed.  Rational
     lists (zero a Fraction) of at least KRONECKER_MIN_LEN terms each are
-    multiplied as one big integer (_kronecker_mul); the rest by schoolbook,
-    skipping zero terms.
+    multiplied as integer vectors over their denominators (int_mul); the
+    rest by schoolbook, skipping zero terms.
     """
     if top is not None:
         a, b = a[:top + 1], b[:top + 1]
     n = len(a) + len(b) - 1 if top is None else top + 1
     if (type(zero) is Fraction
             and min(len(a), len(b)) >= KRONECKER_MIN_LEN):
-        out = _kronecker_mul(a, b, n)
+        (ia, da), (ib, db) = int_vector(a), int_vector(b)
+        den = da * db
+        out = [Fraction(c, den) for c in int_mul(ia, ib)[:n]]
         return out + [zero] * (n - len(out))
     out = [zero] * max(n, 0)
     terms = [(j, bj) for j, bj in enumerate(b) if bj]
@@ -65,17 +67,17 @@ def int_vector(coeffs) -> tuple:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _kronecker_mul(a, b, n) -> list:
-    """Terms below degree n of the product of two Fraction lists, through
-    one big-integer product.
+def int_mul(a, b) -> list:
+    """Product of two integer lists: schoolbook when either has fewer than
+    KRONECKER_MIN_LEN terms, else one big-integer product.
 
     Each integer vector is packed into base 2^w digits offset by 2^(w-1),
     so that signed coefficients never borrow across digits (Harvey 2009,
     Kronecker substitution); w leaves room for every product coefficient.
     """
-    ia, da = int_vector(a)
-    ib, db = int_vector(b)
-    bits = (max(map(abs, ia)).bit_length() + max(map(abs, ib)).bit_length()
+    if min(len(a), len(b)) < KRONECKER_MIN_LEN:
+        return dense_mul(a, b, 0)
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
             + min(len(a), len(b)).bit_length())
     k = bits // 8 + 1                      # bytes per digit: |c| < 2^(8k-1)
     half = 1 << (8 * k - 1)
@@ -87,12 +89,10 @@ def _kronecker_mul(a, b, n) -> list:
                 - int.from_bytes(digit_half * len(ints), "little"))
 
     full = len(a) + len(b) - 1
-    n = min(n, full)
-    prod = pack(ia) * pack(ib) + int.from_bytes(digit_half * full, "little")
+    prod = pack(a) * pack(b) + int.from_bytes(digit_half * full, "little")
     raw = prod.to_bytes(full * k, "little")
-    den = da * db
-    return [Fraction(int.from_bytes(raw[i:i + k], "little") - half, den)
-            for i in range(0, n * k, k)]
+    return [int.from_bytes(raw[i:i + k], "little") - half
+            for i in range(0, full * k, k)]
 
 
 def dense_divmod(a, b) -> tuple:
@@ -100,9 +100,21 @@ def dense_divmod(a, b) -> tuple:
 
     b[-1] is 1 or a nonzero field scalar (Fraction or CycElem).  A monic b
     takes no division step, so reduction modulo Phi_m stays division-free
-    and integer input stays integer.
+    and integer input stays integer.  A rational b of degree 2 or more
+    divides integer vectors (_int_long_division): each quotient term is one
+    Fraction at the scale of its own step, each remainder term one Fraction
+    at the end.  Below degree 2 the Fraction loop is cheaper, as the scales
+    of a long quotient grow into every term.
     """
     db = len(b) - 1
+    if type(b[-1]) is Fraction and db >= 2:
+        r, den = int_vector(a)
+        ib, den_b = int_vector(b)
+        q = []
+        for c, s in zip(*_int_long_division(r, ib)):
+            den *= s
+            q.append(Fraction(c * den_b, den))
+        return q[::-1], [Fraction(x, den) for x in r]
     inv = None if b[-1] == 1 else 1 / b[-1]
     terms = [(j, bj) for j, bj in enumerate(b[:db]) if bj]
     rem = list(a)
@@ -116,20 +128,21 @@ def dense_divmod(a, b) -> tuple:
     return q, rem[:db]
 
 
-def int_pseudo_divmod(a, b) -> tuple:
-    """(f, q, r) with f*a == q*b + r over the integers, r trimmed.
+def _int_long_division(r, b) -> tuple:
+    """Divide the integer list r by b in place: (quotient terms, scales).
 
     Integer arithmetic only: each step scales by lc(b)/gcd(c, lc(b)), the
     least factor that makes the next quotient term c an integer.  Only the
-    len(b) - 1 terms under b are scaled at each step; a term of a below
-    them takes the product of the factors when b reaches it, and each
-    quotient term the product of the later ones at the end, so a long a
-    over a short b costs about len(a)*len(b) products, not len(a)^2.
+    len(b) - 1 terms under b are scaled at each step; a term of r below
+    them takes the product of the factors when b reaches it, so a long r
+    over a short b costs about len(r)*len(b) products, not len(r)^2.  Both
+    lists run from the top step down; r is left holding the remainder
+    times the product of all scales.
     """
     db = len(b) - 1
     lb = b[-1]
     terms = [(j, bj) for j, bj in enumerate(b[:db]) if bj]
-    r, q, scales, f = list(a), [], [], 1
+    q, scales, f = [], [], 1
     for k in range(len(r) - 1 - db, -1, -1):
         r[k] *= f                           # r[k+1:] are at scale f already
         c = r.pop()
@@ -145,10 +158,21 @@ def int_pseudo_divmod(a, b) -> tuple:
                 r[k + j] -= c * bj
         q.append(c)
         scales.append(s)
-    later = 1
+    return q, scales
+
+
+def int_pseudo_divmod(a, b) -> tuple:
+    """(f, q, r) with f*a == q*b + r over the integers, r trimmed.
+
+    One _int_long_division; each quotient term then takes the product of
+    the later steps' scales, so that all of q sits at the one scale f.
+    """
+    r = list(a)
+    q, scales = _int_long_division(r, b)
+    f = 1
     for i in range(len(q) - 1, -1, -1):
-        q[i] *= later
-        later *= scales[i]
+        q[i] *= f
+        f *= scales[i]
     return f, q[::-1], _trim(r)
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .errors import FieldMismatchError, ResourceCapError, RittKitError
-from .field import (QQ, FieldDescriptor, dense_divmod, dense_mul,
+from .field import (QQ, FieldDescriptor, dense_divmod, dense_mul, int_mul,
                     int_pseudo_divmod, int_vector, scalar_str)
 
 DEGREE_CAP = 10_000
@@ -179,17 +179,29 @@ class Poly:
 
 
 def compose(f: Poly, g: Poly, degree_cap: int = DEGREE_CAP) -> Poly:
-    """f(g(x)) by Horner in g."""
+    """f(g(x)) by Horner in g.
+
+    Over Q the Horner steps run on integer vectors: with f = F/df of
+    degree m and g = G/dg, A_k = A_(k+1)*G + F_k*dg^(m-k) ends at
+    A_0 = df*dg^m*f(g), one Fraction per coefficient.
+    """
     if f.field != g.field:
         raise FieldMismatchError("compose over different fields")
     if f.degree >= 1 and g.degree >= 1 and f.degree * g.degree > degree_cap:
         raise ResourceCapError(
             f"compose degree {f.degree * g.degree} exceeds cap {degree_cap}")
+    if f.field == QQ and f:
+        (F, df), (G, dg) = int_vector(f.coeffs), int_vector(g.coeffs)
+        acc, power = [F[-1]], 1
+        for c in reversed(F[:-1]):
+            power *= dg
+            acc = int_mul(acc, G) or [0]
+            acc[0] += c * power
+        den = df * power
+        return Poly.make(QQ, [Fraction(c, den) for c in acc])
     acc = Poly(f.field, ())
     for c in reversed(f.coeffs):
         acc = acc * g + Poly.constant(f.field, c)
-    if f.is_zero():
-        acc = Poly(f.field, ())
     return acc
 
 
