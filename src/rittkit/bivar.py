@@ -303,14 +303,15 @@ def bivar_gcd(G: BivarPoly, H: BivarPoly) -> BivarPoly:
         return H
     if H.is_zero():
         return G
-    return _gcd_cofactor(G, H)[0]
+    prim, cont = _gcd_cofactor(G, H)[0], _row_gcd(G.field, G.rows + H.rows)
+    return BivarPoly.make(G.field, [r * cont for r in prim.rows])
 
 
 def _gcd_cofactor(G: BivarPoly, H: BivarPoly) -> tuple:
-    """(bivar_gcd(G, H), G divided by it), for nonzero G and H.
+    """(P, G/P), P the primitive gcd of nonzero G and H, leading coeff 1.
 
     The cofactor is the quotient that proved the candidate, so a caller
-    that needs it divides nothing again.
+    that needs it divides nothing again; bivar_gcd adds the content.
     """
     field = G.field
     lc_g, lc_h = G.rows[-1], H.rows[-1]
@@ -351,12 +352,8 @@ def _gcd_cofactor(G: BivarPoly, H: BivarPoly) -> tuple:
             break
     else:
         raise RittKitError("no bivariate gcd candidate passed its division")
-    cont = _row_gcd(field, G.rows + H.rows)
-    out = BivarPoly.make(field, [r * cont for r in prim.rows])
-    lead = out.rows[-1].leading()
-    cof = BivarPoly.make(field, [exact_div(r, cont).scale(lead)
-                                 for r in cof.rows])
-    return out.scale(field.one() / lead), cof
+    lead = prim.rows[-1].leading()
+    return prim.scale(field.one() / lead), cof.scale(lead)
 
 
 def bivar_exact_div_y(A: BivarPoly, B: BivarPoly) -> BivarPoly:

@@ -1,11 +1,11 @@
 """Periodic plane curves for split polynomial maps (x, y) -> (f(x), g(y)).
 
-curve_image pushes a curve forward by one route for every curve, line
-components included: two calls of the x-push _push_x, one through f and
-one through g, then the squarefree part.  curve_period certifies minimal
-periods with the full image chain, and ms_diagonal_curves enumerates the
-diagonal-form invariant curves coming from linear symmetries composed
-with iterates.
+curve_image pushes a graph whose image is a graph by one left-factor
+solve, and every other curve by two calls of the x-push _push_x, one
+through f and one through g, then the squarefree part.  curve_period
+certifies minimal periods with the full image chain, and
+ms_diagonal_curves enumerates the diagonal-form invariant curves coming
+from linear symmetries composed with iterates.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .bivar import (BivarCurve, BivarPoly, _sample_points, bivar_squarefree,
                     lagrange_interpolate, resultant_y)
+from .decompose import left_factor_solve
 from .errors import (CollapsedImageError, HypothesisViolationError,
                      FieldExtensionRequiredError, ResourceCapError,
                      RittKitError)
@@ -54,16 +55,36 @@ def _push_x(G: BivarPoly, f: Poly) -> BivarPoly:
         for k in range(G.deg_x + 1)])
 
 
+def _graph_image(G: BivarPoly, f: Poly, g: Poly) -> BivarPoly | None:
+    """y - q(x) if G = c*y + r(x), c constant, and q o f == g o h for a
+    nonconstant h = -r/c: the image (f(t), q(f(t))) is an irreducible
+    curve inside the irreducible graph of q, so the two are equal.
+    """
+    if G.deg_y != 1 or G.rows[1].degree != 0:
+        return None
+    h = G.rows[0].scale(-G.field.one() / G.rows[1].constant_term())
+    q = left_factor_solve(compose(g, h), f) if h.degree >= 1 else None
+    return None if q is None else _x_minus(q).transpose()
+
+
 def curve_image(C: BivarCurve, f: Poly, g: Poly) -> BivarCurve:
     """Zariski closure of the image of C under (x, y) -> (f(x), g(y)).
 
-    One route for every curve: the squarefree part of
-    Res_y(Res_x(G, u - f(x)), v - g(y)), two calls of _push_x, is the
-    image.  Vertical and horizontal line components need no branch;
-    bivar_squarefree splits off their content.
+    A graph y = h(x), C.poly = c*y + r(x), whose image is a graph y = q(x)
+    takes one left_factor_solve of q o f == g o h; x = h(y) is the same
+    test on the transpose, f and g swapped.  Any other curve, or graph,
+    takes the bivariate route (ROADMAP item 2, rule (a)): the squarefree
+    part of Res_y(Res_x(G, u - f(x)), v - g(y)), two calls of _push_x;
+    bivar_squarefree splits off vertical and horizontal line content.
     """
     if f.degree < 1 or g.degree < 1:
         raise RittKitError("both coordinate maps must be nonconstant")
+    graph = _graph_image(C.poly, f, g)
+    if graph is not None:
+        return BivarCurve.make(graph)
+    graph = _graph_image(C.poly.transpose(), g, f)
+    if graph is not None:
+        return BivarCurve.make(graph.transpose())
     total = bivar_squarefree(_push_x(_push_x(C.poly, f), g))
     if total.deg_x < 1 and total.deg_y < 1:
         raise CollapsedImageError("image is not a curve")

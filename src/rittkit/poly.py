@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 from .errors import FieldMismatchError, ResourceCapError, RittKitError
 from .field import (QQ, FieldDescriptor, dense_divmod, dense_mul, int_mul,
@@ -223,11 +223,14 @@ def chebyshev(delta: int, field: FieldDescriptor = QQ) -> Poly:
     """T_delta with T_delta(x + 1/x) = x^delta + x^(-delta)."""
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    # sum_k (-1)^k delta/(delta-k) C(delta-k, k) x^(delta-2k), all integers
+    # c_k = [x^(delta-2k)] = (-1)^k delta/(delta-k) C(delta-k, k), and
+    # c_(k+1)/c_k = -(delta-2k)(delta-2k-1)/((k+1)(delta-k-1)), exactly
     coeffs = [0] * (delta + 1)
-    for k in range(delta // 2 + 1):
-        coeffs[delta - 2 * k] = (-1) ** k * delta * comb(delta - k, k) // (
-            delta - k)
+    c = coeffs[delta] = 1
+    for k in range(delta // 2):
+        c = -c * (delta - 2 * k) * (delta - 2 * k - 1) // (
+            (k + 1) * (delta - k - 1))
+        coeffs[delta - 2 * k - 2] = c
     return Poly.make(field, coeffs)
 
 
