@@ -213,16 +213,6 @@ class BivarPoly:
         return out
 
 
-def affine_substitution_coeffs(A: Poly, alpha, beta) -> list:
-    """Coefficients of A(u*x + alpha*u + beta) by power of x, as Polys in u."""
-    field = A.field
-    inner = BivarPoly.make(field, [[beta, 0], [alpha, 1]])  # y plays u
-    acc = BivarPoly(field, ())
-    for c in reversed(A.coeffs):
-        acc = acc * inner + BivarPoly.make(field, [[c]])
-    return list(acc.transpose().rows)
-
-
 def _sample_points(field, needed, bad_test):
     """The first `needed` integer sample values passing bad_test, lazily."""
     found, t = 0, 0

@@ -1,25 +1,25 @@
 """Shape classification of polynomials.
 
-Every linear-map solve here reduces to the roots of one scale polynomial.
-Once f is centred (no x^(d-1) term), a conjugacy to the centred x^d, T_d
-or -T_d is a pure scaling a*x, and `_conj_scales` is the gcd of its
-coefficient equations in a: f is conjugate over the algebraic closure iff
-the gcd has a root, and the witness is its largest in-field root,
-verified before it is returned.  `_scale_polynomial` does the same for
-L2 o f o L1 = g.  Cyclic/dihedral status is a closure-level coefficient
-test on the same centred form.  A missing in-field witness is surfaced as
-a hint instead of an error so that classification always completes.
+Every linear-map solve here reads the centred forms F = f(x - s) + s of
+`poly.centred`, free of x^(d-1): the inner linear map between them has
+no translation part, so each solve is the monic gcd of binomials in one
+scale (`_binomial_gcd`).  A conjugacy to the centred x^d, T_d or -T_d is
+a scaling a*x (`_conj_scales`): f is conjugate over the closure iff the
+gcd has a root, and the witness is its largest in-field root, verified.
+`_scale_polynomial` does the same for L2 o f o L1 = g.  Cyclic/dihedral
+status is a coefficient test on the same centred form.  A missing
+in-field witness is a hint, not an error, so classification completes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bivar import affine_substitution_coeffs
 from .decompose import left_factor_solve
 from .errors import RittKitError
 from .field import scalar_sort_key
-from .poly import LinearPoly, Poly, chebyshev, compose, conjugate, poly_gcd
+from .poly import (LinearPoly, Poly, centred, chebyshev, compose, conjugate,
+                   poly_gcd)
 from .roots import in_field_roots
 
 
@@ -48,37 +48,34 @@ class PowerNormalForm:
         return lhs == rhs
 
 
-def _centred(f: Poly):
-    """(s, F) with F = f(x - s) + s free of x^(deg f - 1)."""
-    s = f.coeff(f.degree - 1) / (f.degree * f.leading())
-    return s, conjugate(LinearPoly.make(f.field, 1, s), f) if s else f
+def _binomial_gcd(fieldK, binomials) -> Poly:
+    """The monic gcd in u of the binomials c*u^i - e*u^j, for each
+    (c, i, e, j) in binomials; zero when every binomial vanishes."""
+    G = Poly(fieldK, ())
+    for c, i, e, j in binomials:
+        if c or e:
+            G = poly_gcd(G, Poly.monomial(fieldK, i, c)
+                         - Poly.monomial(fieldK, j, e))
+            if G.degree == 0:
+                break
+    return G
 
 
 def _conj_scales(F: Poly, H: Poly) -> Poly:
     """The monic gcd in a of the equations of (a*x) o F o (x/a) = H.
 
     F and H are centred of one degree; the equations are F_i = H_i*a^(i-1)
-    for i >= 1 and F_0*a = H_0.  A linear map between centred polynomials
-    has no translation part, so the roots are exactly the scales of the
+    for i >= 1 and F_0*a = H_0.  The roots are exactly the scales of the
     conjugacies, and F ~ H over the closure iff the gcd is not constant.
     """
-    fieldK = F.field
-    G = Poly(fieldK, ())
-    for i in range(F.degree + 1):
-        fi, hi = F.coeff(i), H.coeff(i)
-        if not (fi or hi):
-            continue
-        G = poly_gcd(G, Poly.make(fieldK, [-hi, fi]) if i == 0
-                     else Poly.monomial(fieldK, i - 1, hi) - fi)
-        if G.degree == 0:
-            break
-    return G
+    return _binomial_gcd(F.field, [(F.coeff(0), 1, H.coeff(0), 0)] + [
+        (H.coeff(i), i - 1, F.coeff(i), 0) for i in range(1, F.degree + 1)])
 
 
 def _conj_witness(f: Poly, s, F: Poly, H: Poly):
     """(closure, ell): f ~ H over the closure, and a verified in-field ell.
 
-    (s, F) is _centred(f); ell = a*(x + s) for the largest in-field root a
+    (s, F) is centred(f); ell = a*(x + s) for the largest in-field root a
     of _conj_scales(F, H), or None when it has no root in the field.
     """
     G = _conj_scales(F, H)
@@ -96,7 +93,7 @@ def classify(f: Poly) -> ShapeReport:
     if f.degree < 2:
         raise RittKitError("classification needs degree >= 2")
     fieldK, d = f.field, f.degree
-    s, F = _centred(f)
+    s, F = centred(f)
     T = chebyshev(d, fieldK)
     pw_closure, pw_ell = _conj_witness(f, s, F, Poly.monomial(fieldK, d))
     ch_closure, ch_ell = _conj_witness(f, s, F, T)
@@ -125,21 +122,17 @@ def classify(f: Poly) -> ShapeReport:
 def _scale_polynomial(f: Poly, g: Poly):
     """(G, v): the scales u of inner maps u*x + v(u) that can carry f to g.
 
-    G is the monic gcd in u of g_d * [x^i] f(u*x + v(u)) = g_i * f_d * u^d
-    for 1 <= i <= d-2, the equations of L2 o f o (u*x + v(u)) = g with L2
-    linear; v is the linear Poly forced by the x^(d-1) coefficient.  G is
-    zero when every u passes (d <= 2, or f and g cyclic).
+    With (s, F), (t, H) the centred forms of f and g and v(u) = t*u - s,
+    L2 o f o (u*x + v(u)) = g reads L2' o F o (u*x) = H, whose equations
+    are g_d*F_i*u^i = f_d*H_i*u^d for 1 <= i <= d-2.  G is their monic
+    gcd, zero when every u passes (d <= 2, or f and g cyclic).
     """
-    fieldK = f.field
-    d = f.degree
-    alpha = g.coeff(d - 1) / (d * g.leading())
-    beta = -f.coeff(d - 1) / (d * f.leading())
-    coeffs = affine_substitution_coeffs(f, alpha, beta)
-    G = Poly(fieldK, ())
-    for i in range(1, d - 1):
-        G = poly_gcd(G, coeffs[i].scale(g.leading()) - Poly.monomial(
-            fieldK, d, g.coeff(i) * f.leading()))
-    return G, Poly.make(fieldK, [beta, alpha])
+    s, F = centred(f)
+    t, H = centred(g)
+    fd, gd = f.leading(), g.leading()
+    G = _binomial_gcd(f.field, [(gd * F.coeff(i), i, fd * H.coeff(i),
+                                 f.degree) for i in range(1, f.degree - 1)])
+    return G, Poly.make(f.field, [-s, t])
 
 
 def equivalence_witness(f: Poly, g: Poly):

@@ -266,9 +266,6 @@ class LinearPoly:
         inv_a = self.field.one() / self.a
         return LinearPoly.make(self.field, inv_a, -self.b * inv_a)
 
-    def apply(self, v):
-        return self.a * v + self.b
-
     def after(self, other: "LinearPoly") -> "LinearPoly":
         """self(other(x))."""
         return LinearPoly.make(self.field, self.a * other.a,
@@ -348,12 +345,18 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     return q
 
 
+def centred(f: Poly) -> tuple:
+    """(s, F), F = f(x - s) + s with f(x - s) free of x^(deg f - 1), and so
+    F too when deg f >= 2, as are F^(o k) = (x + s) o f^(o k) o (x - s)."""
+    s = f.coeff(f.degree - 1) / (f.degree * f.leading())
+    return s, conjugate(LinearPoly.make(f.field, 1, s), f) if s else f
+
+
 def power_shape(f: Poly) -> tuple | None:
-    """(t, e) with f = lc(f)*(x + t)^deg f + e, or None (deg f >= 1)."""
-    d = f.degree
-    t = f.coeff(d - 1) / (d * f.leading())
-    diff = f - (Poly.make(f.field, [t, 1]) ** d).scale(f.leading())
-    return (t, diff.constant_term()) if diff.is_constant() else None
+    """(t, e) with f = lc(f)*(x + t)^deg f + e, or None (deg f >= 1):
+    the centred form of f is lc(f)*x^d + F_0, with t = s and e = F_0 - s."""
+    t, F = centred(f)
+    return None if any(F.coeffs[1:-1]) else (t, F.constant_term() - t)
 
 
 # -- truncated reversed series: the top coefficients of powers and compositions

@@ -2,21 +2,22 @@
 
 Gamma(A) collects the linear ell with A o ell = L o A for some linear L;
 M(f^inf) collects the linear maps commuting with some iterate of f.
-Both are computed by exact coefficient elimination: the translation part
-of ell is a forced linear function of its scale, leaving univariate
-root-finding in the scale.
+Both read the scales of ell as in-field roots of one gcd of binomials
+from `conjugacy`, and the translation part of ell is a forced linear
+function of its scale.  `m_infinity` centres f once and iterates the
+centred map, whose iterates stay centred.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conjugacy import _centred, _conj_scales, _scale_polynomial
+from .conjugacy import _conj_scales, _scale_polynomial
 from .decompose import equal_degree_linear, left_factor_solve
 from .errors import HypothesisViolationError, ResourceCapError, RittKitError
 from .field import scalar_sort_key
-from .poly import (LinearPoly, Poly, compose, conjugate, deflate, iterate,
-                   poly_divmod, power_shape)
+from .poly import (LinearPoly, Poly, centred, compose, conjugate, deflate,
+                   iterate, poly_divmod, power_shape)
 from .roots import in_field_roots
 
 INFINITE = "Infinite"
@@ -74,13 +75,8 @@ def gamma_group(A: Poly) -> LinearGroup:
     fieldK = A.field
     d = A.degree
     G, v = _scale_polynomial(A, A)
-    cyclic = power_shape(A) is not None
-    if G.is_zero():
-        if not cyclic:
-            raise RittKitError("infinite symmetry group for a non-cyclic input")
+    if G.is_zero():                     # A is cyclic: every scale passes
         return LinearGroup(kind=INFINITE)
-    if cyclic:
-        raise RittKitError("finite symmetry group for a cyclic input")
     elements, companions = [], []
     residual = Poly(fieldK, G.coeffs[G.multiplicity_at_zero():])
     for a in in_field_roots(residual):
@@ -105,17 +101,6 @@ def gamma_group(A: Poly) -> LinearGroup:
                        extension_hint=_extension_hint_order(residual, 2 * d))
 
 
-def _commuting_linears(F: Poly) -> list:
-    """All in-field linear ell with F o ell = ell o F.
-
-    Conjugated by x + s to the centred C, these are the scalings a*x with
-    a a root of _conj_scales(C, C), so ell = a*x + s*(a - 1).
-    """
-    s, C = _centred(F)
-    return [LinearPoly.make(F.field, a, s * (a - 1))
-            for a in in_field_roots(_conj_scales(C, C))]
-
-
 def m_infinity(f: Poly, iter_bound: int | None = None) -> LinearGroup:
     """Linear maps commuting with f^(o k) for some k <= iter_bound.
 
@@ -128,24 +113,23 @@ def m_infinity(f: Poly, iter_bound: int | None = None) -> LinearGroup:
         iter_bound = f.degree
     if iter_bound < 1:
         raise RittKitError("iter_bound must be >= 1")
-    fieldK = f.field
-    seen = {}
-    first_k = {}
-    F = Poly.x(fieldK)
+    # f^(o k) = (x - s) o C^(o k) o (x + s), so the maps commuting with it
+    # are a*x + s*(a - 1) for the roots a of _conj_scales(C^(o k), C^(o k))
+    s, C = centred(f)
+    first_k = {}                        # (a, b) -> first k with a*x + b
+    Ck = Poly.x(f.field)
     for k in range(1, iter_bound + 1):
         try:
-            F = compose(f, F)
+            Ck = compose(C, Ck)
         except ResourceCapError:
             break
-        for ell in _commuting_linears(F):
-            key = (ell.a, ell.b)
-            if key not in seen:
-                seen[key] = ell
-                first_k[key] = k
-    elements = sorted(seen.values(), key=lambda e: scalar_sort_key(e.a))
+        for a in in_field_roots(_conj_scales(Ck, Ck)):
+            first_k.setdefault((a, s * (a - 1)), k)
+    elements = sorted((LinearPoly.make(f.field, a, b) for a, b in first_k),
+                      key=lambda e: scalar_sort_key(e.a))
     elements.sort(key=lambda e: not e.is_identity())
     half = (iter_bound + 1) // 2
-    stable = half if all(first_k[k] <= half for k in first_k) else None
+    stable = half if all(k <= half for k in first_k.values()) else None
     gen = _find_generator(elements)
     return LinearGroup(kind=FINITE, elements=tuple(elements),
                        companions=tuple(elements), generator=gen,

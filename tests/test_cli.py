@@ -15,7 +15,7 @@ import rittkit
 from rittkit import QQ, BivarPoly, Poly, cyclotomic_field, parse_bivar, parse_poly
 from rittkit.cli import run_command
 from rittkit.errors import ParseError, ResourceCapError
-from rittkit.parser import MAX_NESTING, POWER_BITS_CAP
+from rittkit.parser import MAX_NESTING, POWER_BITS_CAP, POWER_SIZE_CAP
 from rittkit.poly import DEGREE_CAP
 
 
@@ -198,6 +198,22 @@ def test_huge_constant_power_hits_size_cap():
     out = run_cli_limited(["classify", "--f", "x^2 + 2^99999999"])
     assert out.returncode == 3
     assert f"POWER_BITS_CAP = {POWER_BITS_CAP}" in out.stdout
+
+
+# Powers under the degree and bit caps whose expansion is too large to
+# build.  Without an estimate before each product, each ran past the limit
+# or built the very product that tripped the bit cap.
+@pytest.mark.parametrize("argv", [
+    ["classify", "--f", "(x+1)^10000"],
+    ["classify", "--f", "(x+y)^5001"],
+    ["curve-image", "--curve", "(x + y)^256", "--f", "x^2", "--g", "x^2"],
+    ["preperiodic", "--f", "((y-10^400)^2)^300", "--a", "0"],
+    ["classify", "--field", "Q(zeta 3)", "--f", "(x + z)^5000"],
+])
+def test_hostile_power_hits_size_cap(argv):
+    out = run_cli_limited(argv)
+    assert out.returncode == 3
+    assert f"POWER_SIZE_CAP = {POWER_SIZE_CAP}" in out.stdout
 
 
 @pytest.mark.parametrize("order", ["1001", "100003", "99999999999"])
