@@ -19,26 +19,35 @@ from .poly import Poly, exact_div, poly_divmod, poly_gcd, squarefree_part
 
 
 def lagrange_interpolate(field: FieldDescriptor, points) -> Poly:
-    """Unique polynomial through (t, value) pairs with distinct t.
-
-    Newton's divided-difference form, built coefficient by coefficient.
-    """
+    """Unique polynomial through (t, value) pairs with distinct t."""
     pts = list(points)
-    if not pts:
-        return Poly(field, ())
-    diffs = [field.coerce(v) for _, v in pts]
-    ts = [field.coerce(t) for t, _ in pts]
-    total = Poly(field, ())
-    basis = Poly.constant(field, 1)
-    for k in range(len(pts)):
-        if diffs[0]:
-            total = total + basis.scale(diffs[0])
-        if k == len(pts) - 1:
-            break
-        basis = basis * Poly.make(field, [-ts[k], 1])
-        diffs = [(diffs[i + 1] - diffs[i]) / (ts[i + k + 1] - ts[i])
-                 for i in range(len(diffs) - 1)]
-    return total
+    return interpolate_columns(field, [t for t, _ in pts],
+                               [[v for _, v in pts]])[0]
+
+
+def interpolate_columns(field: FieldDescriptor, ts, columns) -> list:
+    """The Poly through (ts[i], column[i]) for each column, distinct ts.
+
+    Newton's divided-difference form.  The basis products
+    prod_{i<k} (x - t_i) and every 1/(t_j - t_i) are built once for the
+    point set, so a column costs products only.
+    """
+    ts = [field.coerce(t) for t in ts]
+    zero, one = field.zero(), field.one()
+    inv = [[one / (ts[i + k] - ts[i]) for i in range(len(ts) - k)]
+           for k in range(1, len(ts) + 1)]
+    basis = [[one]]
+    for t in ts[:-1]:
+        basis.append(dense_mul(basis[-1], [-t, one], zero))
+    out = []
+    for col in columns:
+        diffs, coeffs = [field.coerce(v) for v in col], [zero] * len(ts)
+        for b, w in zip(basis, inv):
+            for i, c in enumerate(b):
+                coeffs[i] += diffs[0] * c
+            diffs = [(diffs[i + 1] - diffs[i]) * wi for i, wi in enumerate(w)]
+        out.append(Poly.make(field, coeffs))
+    return out
 
 
 def resultant_univar(A: Poly, B: Poly):
@@ -328,9 +337,9 @@ def _gcd_cofactor(G: BivarPoly, H: BivarPoly) -> tuple:
         vals.append((x0, g.scale(gamma.evaluate(x0))))
         n = len(vals)
         if n == points or (n >= 2 and not n & (n - 1)):
-            cand = BivarPoly.make(field, [
-                lagrange_interpolate(field, [(t, v.coeff(k)) for t, v in vals])
-                for k in range(g.degree + 1)])
+            cand = BivarPoly.make(field, interpolate_columns(
+                field, [t for t, _ in vals],
+                [[v.coeff(k) for _, v in vals] for k in range(g.degree + 1)]))
             if gamma.degree > 0:
                 cand = _primitive_y(cand)[1]
             try:

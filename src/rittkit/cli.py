@@ -2,7 +2,8 @@
 
 Each subcommand prints a deterministic key-value document and exits with
 0 (computed, including negative answers), 2 (input or parse problem),
-3 (a resource cap fired), or 4 (the answer needs a field extension).
+3 (a resource cap fired), 4 (the answer needs a field extension), or 1
+(`error: internal`: any other exception, a fault of the library).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .parser import parse_curve, parse_field, parse_poly
 from .poly import LinearPoly
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_EXTENSION = 4
@@ -438,6 +440,11 @@ def run_command(argv) -> int:
         doc.add("message", exc)
         sys.stdout.write(doc.render())
         return EXIT_INPUT
+    except Exception as exc:
+        doc.add("error", "internal")
+        doc.add("message", exc)
+        sys.stdout.write(doc.render())
+        return EXIT_INTERNAL
     sys.stdout.write(doc.render())
     return EXIT_OK
 

@@ -362,11 +362,18 @@ class CycElem:
         return o._sum(self, -1)
 
     def __mul__(self, other):
+        # a rational operand scales the other: no reduction modulo Phi_m
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return CycElem._make(self.field, dense_mul(self.nums, o.nums, 0),
-                             self.den * o.den)
+        a, b = self.nums, o.nums
+        if not any(b[1:]):
+            nums = [x * b[0] for x in a]
+        elif not any(a[1:]):
+            nums = [x * a[0] for x in b]
+        else:
+            nums = dense_mul(a, b, 0)
+        return CycElem._make(self.field, nums, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -387,10 +394,15 @@ class CycElem:
 
         Rows (r, s, c) satisfy c*s*nums == r mod Phi_m with r and s
         primitive integer vectors and c a Fraction, so the vectors never
-        hold a Fraction (Collins 1967; Brown 1971).
+        hold a Fraction (Collins 1967; Brown 1971).  A rational n/den
+        returns den/n, the sign moved to the numerator.
         """
         if not self:
             raise ZeroDivisionError("inverse of zero")
+        n = self.nums[0]
+        if not any(self.nums[1:]):
+            return CycElem._make(self.field, [-self.den if n < 0 else self.den],
+                                 abs(n))
         r0, s0, c0 = list(cyclotomic_polynomial(self.field.order)), [], 1
         r1, s1, c1 = _trim(list(self.nums)), [1], Fraction(1)
         while len(r1) > 1:

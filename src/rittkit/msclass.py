@@ -2,18 +2,20 @@
 
 curve_image pushes a graph whose image is a graph by one left-factor
 solve, and every other curve by two calls of the x-push _push_x, one
-through f and one through g, then the squarefree part.  curve_period
-certifies minimal periods with the full image chain, and
-ms_diagonal_curves enumerates the diagonal-form invariant curves coming
-from linear symmetries composed with iterates.
+through f and one through g, then the squarefree part; the push takes
+power sums, not resultants.  curve_period certifies minimal periods with
+the full image chain, and ms_diagonal_curves enumerates the diagonal-form
+invariant curves coming from linear symmetries composed with iterates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 from .bivar import (BivarCurve, BivarPoly, _sample_points, bivar_squarefree,
-                    lagrange_interpolate, resultant_y)
+                    interpolate_columns)
 from .decompose import left_factor_solve
 from .errors import (CollapsedImageError, HypothesisViolationError,
                      FieldExtensionRequiredError, ResourceCapError,
@@ -30,9 +32,36 @@ def _x_minus(h: Poly) -> BivarPoly:
             - BivarPoly.from_univar(h, "y"))
 
 
-def _univar_image(h: Poly, f: Poly) -> Poly:
-    """R(u) = Res_t(h(t), u - f(t)): the values f takes on the roots of h."""
-    return resultant_y(BivarPoly.from_univar(h, "y"), _x_minus(f))
+def _univar_image(h: Poly, f: Poly, powers=None) -> Poly:
+    """R(u) = Res_t(h(t), u - f(t)) = lc(h)^d * prod (u - f(a)) over the
+    roots a of h, d = deg f (Poisson's formula), by power sums (Bostan,
+    Flajolet, Salvy and Schost 2006).
+
+    Newton's recurrence on the monic h gives the power sums s_j of its
+    roots, j <= n*d, n = deg h; P_k = sum_j [t^j] f^k * s_j sums f(a)^k,
+    and Newton's identities turn P_1..P_n into the monic polynomial with
+    the roots f(a), dividing by integers k <= n only.  powers, when
+    given, starts [f, f^2, ..., f^n].
+    """
+    field, n, lead = h.field, h.degree, h.leading()
+    scale = lead ** f.degree
+    if n == 0:
+        return Poly.constant(field, scale)
+    powers = powers or list(accumulate([f] * n, mul))
+    inv = 1 / lead
+    e = [a * inv for a in reversed(h.coeffs)]   # e[i]: t^(n-i) of monic h
+    s = [field.coerce(n)]
+    for j in range(1, n * f.degree + 1):
+        head = j * e[j] if j <= n else field.zero()
+        s.append(-sum((e[i] * s[j - i] for i in range(1, min(j, n + 1))
+                       if e[i]), head))
+    P = [sum((a * b for a, b in zip(fk.coeffs, s) if a), field.zero())
+         for fk in powers[:n]]
+    q = [field.one()]                          # q[k]: u^(n-k) of R/scale
+    for k in range(1, n + 1):
+        q.append(-sum((q[i] * P[k - i - 1] for i in range(1, k)),
+                      P[k - 1]) / k)
+    return Poly.make(field, [scale * a for a in reversed(q)])
 
 
 def _push_x(G: BivarPoly, f: Poly) -> BivarPoly:
@@ -40,19 +69,20 @@ def _push_x(G: BivarPoly, f: Poly) -> BivarPoly:
 
     The leading x-coefficient of u - f(x) is the constant -lc(f), so the
     resultant is c * prod_{f(a) = u} G(a, y) with no extraneous factor,
-    and it specializes exactly at every y0 where G keeps its x-degree.
-    The row variable swaps, so a second push eliminates y.
+    and it specializes exactly at every y0 where G keeps its x-degree,
+    each by one _univar_image.  The row variable swaps, so a second push
+    eliminates y.
     """
     field = G.field
     Gt = G.transpose()
     lead = Gt.rows[-1]
     ys = list(_sample_points(field, G.deg_y * f.degree + 1,
                              lambda y0: not lead.evaluate(y0)))
-    slices = [_univar_image(Gt.eval_x(y0), f) for y0 in ys]
-    return BivarPoly.make(field, [
-        lagrange_interpolate(field, [(y0, S.coeff(k))
-                                     for y0, S in zip(ys, slices)])
-        for k in range(G.deg_x + 1)])
+    powers = list(accumulate([f] * G.deg_x, mul))
+    slices = [_univar_image(Gt.eval_x(y0), f, powers) for y0 in ys]
+    return BivarPoly.make(field, interpolate_columns(
+        field, ys, [[S.coeff(k) for S in slices]
+                    for k in range(G.deg_x + 1)]))
 
 
 def _graph_image(G: BivarPoly, f: Poly, g: Poly) -> BivarPoly | None:

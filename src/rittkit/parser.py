@@ -28,10 +28,10 @@ MAX_NESTING = 100
 # 10^8-bit integer, while (x + 1)^10000 needs about 10^4 bits.
 POWER_BITS_CAP = 100_000
 
-# Largest estimated work (`_capped_product`) of one product while a power is
-# expanded; the caps above leave the total size unbounded: (x + 1)^10000
-# has 10^4 coefficients of 10^4 bits.  The slowest power measured under the
-# cap, (x^3 + y^2 + 7*z)^49 over Q(zeta 4), parses in 1.7 s (2-vCPU VM).
+# Largest estimated work (`_capped_product`) of any one product; the caps
+# above leave the total size unbounded: (x + 1)^10000 has 10^4
+# coefficients of 10^4 bits.  The slowest power measured under the cap,
+# (x^3 + y^2 + 7*z)^49 over Q(zeta 4), parses in 1.7 s (2-vCPU VM).
 POWER_SIZE_CAP = 5_000_000
 
 _FIELD_RE = re.compile(r"^\s*(?:field\s+)?Q(?:\s*\(\s*zeta\s+(\d+)\s*\))?\s*$")
@@ -75,9 +75,9 @@ def _max_bits(p: BivarPoly) -> int:
                           else (c.numerator, c.denominator))), default=0)
 
 
-def _capped_product(a: BivarPoly, b: BivarPoly, n: int) -> BivarPoly:
-    """a * b in a power of exponent n, unless an estimate made first passes
-    POWER_BITS_CAP (a square's coefficient bits) or POWER_SIZE_CAP (work).
+def _capped_product(a: BivarPoly, b: BivarPoly) -> BivarPoly:
+    """a * b, for every product parsed, unless an estimate made first
+    passes POWER_BITS_CAP (a square's coefficient bits) or POWER_SIZE_CAP.
 
     A product coefficient has at most the factors' bits plus the log of
     the number of products summed into it.  Over Q the work is the output
@@ -94,14 +94,14 @@ def _capped_product(a: BivarPoly, b: BivarPoly, n: int) -> BivarPoly:
     bits = _max_bits(a) + _max_bits(b) + (min(na, nb) - 1).bit_length()
     if a is b and bits > POWER_BITS_CAP:
         raise ResourceCapError(
-            f"exponent {n} gives coefficients above the power size cap "
-            f"POWER_BITS_CAP = {POWER_BITS_CAP} bits")
+            f"a square with coefficients of {bits} bits is above the power "
+            f"size cap POWER_BITS_CAP = {POWER_BITS_CAP} bits")
     work = (na * nb * (a.field.degree + 2) ** 2 * (bits // 64 + 1) if cyc
             else (len(sizes[1]) * na + len(sizes[0]) * nb) * bits)
     if work > POWER_SIZE_CAP:
         raise ResourceCapError(
-            f"exponent {n} needs a product of estimated work {work}, above "
-            f"the power size cap POWER_SIZE_CAP = {POWER_SIZE_CAP}")
+            f"a product of estimated work {work} is above the power size "
+            f"cap POWER_SIZE_CAP = {POWER_SIZE_CAP}")
     return a * b
 
 
@@ -156,7 +156,7 @@ class _Parser:
             if tok is None or tok[0] != "op" or tok[1] != "*":
                 return acc
             self.next()
-            acc = acc * self.signed()
+            acc = _capped_product(acc, self.signed())
 
     def signed(self) -> BivarPoly:
         """A power after any run of unary signs, read in a loop."""
@@ -188,10 +188,10 @@ class _Parser:
         out = self.const(1)
         while n:                            # square and multiply
             if n & 1:
-                out = _capped_product(out, base, exp[1])
+                out = _capped_product(out, base)
             n >>= 1
             if n:
-                base = _capped_product(base, base, exp[1])
+                base = _capped_product(base, base)
         return out
 
     def atom(self) -> BivarPoly:
