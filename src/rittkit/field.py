@@ -394,15 +394,10 @@ class CycElem:
 
         Rows (r, s, c) satisfy c*s*nums == r mod Phi_m with r and s
         primitive integer vectors and c a Fraction, so the vectors never
-        hold a Fraction (Collins 1967; Brown 1971).  A rational n/den
-        returns den/n, the sign moved to the numerator.
+        hold a Fraction (Collins 1967; Brown 1971).
         """
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        n = self.nums[0]
-        if not any(self.nums[1:]):
-            return CycElem._make(self.field, [-self.den if n < 0 else self.den],
-                                 abs(n))
         r0, s0, c0 = list(cyclotomic_polynomial(self.field.order)), [], 1
         r1, s1, c1 = _trim(list(self.nums)), [1], Fraction(1)
         while len(r1) > 1:

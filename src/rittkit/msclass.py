@@ -32,7 +32,7 @@ def _x_minus(h: Poly) -> BivarPoly:
             - BivarPoly.from_univar(h, "y"))
 
 
-def _univar_image(h: Poly, f: Poly, powers=None) -> Poly:
+def _univar_image(h: Poly, f: Poly, powers: list[Poly]) -> Poly:
     """R(u) = Res_t(h(t), u - f(t)) = lc(h)^d * prod (u - f(a)) over the
     roots a of h, d = deg f (Poisson's formula), by power sums (Bostan,
     Flajolet, Salvy and Schost 2006).
@@ -40,14 +40,13 @@ def _univar_image(h: Poly, f: Poly, powers=None) -> Poly:
     Newton's recurrence on the monic h gives the power sums s_j of its
     roots, j <= n*d, n = deg h; P_k = sum_j [t^j] f^k * s_j sums f(a)^k,
     and Newton's identities turn P_1..P_n into the monic polynomial with
-    the roots f(a), dividing by integers k <= n only.  powers, when
-    given, starts [f, f^2, ..., f^n].
+    the roots f(a), dividing by integers k <= n only.  powers starts
+    [f, f^2, ..., f^n].
     """
     field, n, lead = h.field, h.degree, h.leading()
     scale = lead ** f.degree
     if n == 0:
         return Poly.constant(field, scale)
-    powers = powers or list(accumulate([f] * n, mul))
     inv = 1 / lead
     e = [a * inv for a in reversed(h.coeffs)]   # e[i]: t^(n-i) of monic h
     s = [field.coerce(n)]
