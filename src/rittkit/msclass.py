@@ -20,7 +20,7 @@ from .decompose import left_factor_solve
 from .errors import (CollapsedImageError, HypothesisViolationError,
                      FieldExtensionRequiredError, ResourceCapError,
                      RittKitError)
-from .field import scalar_sort_key
+from .field import _int_nth_root, scalar_sort_key
 from .poly import Poly, compose, iterate
 
 IMAGE_DEGREE_CAP = 512
@@ -183,11 +183,24 @@ def graph_curve(h: Poly, orientation: str = "y") -> BivarCurve:
 def f_tilde_candidate(f: Poly, iter_bound: int) -> Poly:
     """Lowest-degree nonlinear polynomial commuting with an iterate of f.
 
-    Defaults to f itself when nothing of smaller degree commutes with any
-    f^(o k), k <= iter_bound.
+    f must be disintegrated.  Ritt (1923, "Permutable rational functions",
+    Trans. AMS 25, 399-448) shows that two permutable polynomials of
+    degree at least 2 have a common iterate, unless one linear conjugacy
+    takes both to powers of x or both to +-Chebyshev polynomials.  Every
+    f^(o k) is disintegrated with f, so a p of degree e that commutes with
+    it has p^(o a) = f^(o kb), and e^a = d^(kb), d = deg f.  When d is not
+    a perfect power, e is then a power of d, so no commuter has degree
+    2 <= e < d and the answer is f, found without a search.  Otherwise
+    each f^(o k), k <= iter_bound, is solved for commuters of degree
+    below d, defaulting to f.
     """
+    from .conjugacy import classify
     from .semiconj import solve_intertwiner
-    if f.degree <= 2:
+    if not classify(f).disintegrated:
+        raise HypothesisViolationError(
+            "f-tilde expects a disintegrated polynomial")
+    if all(_int_nth_root(f.degree, n) is None
+           for n in range(2, f.degree.bit_length())):
         return f
     best = f
     F = Poly.x(f.field)
@@ -221,19 +234,16 @@ def ms_diagonal_curves(f: Poly, deg_cap: int,
     Candidates g run over the linear maps commuting with some iterate of
     f, composed on either side with iterates of the lowest-degree
     nonlinear commuter; each emitted curve carries a period certificate.
+    f must be disintegrated (`f_tilde_candidate` raises otherwise).
     """
-    from .conjugacy import classify
     from .symmetry import commutes_with_iterate, m_infinity
     if f.degree < 2:
         raise RittKitError("ms_diagonal_curves needs degree >= 2")
-    if not classify(f).disintegrated:
-        raise HypothesisViolationError(
-            "diagonal enumeration expects a disintegrated polynomial")
-    if deg_cap < 1:
-        raise RittKitError("deg_cap must be >= 1")
     if iter_bound is None:
         iter_bound = f.degree
     ft = f_tilde_candidate(f, iter_bound)
+    if deg_cap < 1:
+        raise RittKitError("deg_cap must be >= 1")
     group = m_infinity(f, iter_bound)
     cands = []
     for L in group.elements:

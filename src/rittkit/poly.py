@@ -143,8 +143,7 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        lead = self.leading()
-        return Poly(self.field, tuple(c / lead for c in self.coeffs))
+        return self.scale(1 / self.leading())
 
     def __str__(self):
         if not self.coeffs:

@@ -2,20 +2,22 @@
 
 Gamma(A) collects the linear ell with A o ell = L o A for some linear L;
 M(f^inf) collects the linear maps commuting with some iterate of f.
-Both read the scales of ell as in-field roots of one gcd of binomials
-from `conjugacy`, and the translation part of ell is a forced linear
-function of its scale.  `m_infinity` centres f once and iterates the
-centred map, whose iterates stay centred.
+`gamma_group` reads the scales of ell as in-field roots of one gcd of
+binomials from `conjugacy`, and the translation part of ell is a forced
+linear function of its scale.  `m_infinity` and `common_commuting_iterate`
+build no iterate: they centre f once and walk the scales a -> a^d of the
+centred map among the roots of unity of the field (`_scale_cycles`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .conjugacy import _conj_scales, _scale_polynomial
+from .conjugacy import _scale_polynomial
 from .decompose import equal_degree_linear, left_factor_solve
-from .errors import HypothesisViolationError, ResourceCapError, RittKitError
-from .field import scalar_sort_key
+from .errors import HypothesisViolationError, RittKitError
+from .field import roots_of_unity, scalar_sort_key
 from .poly import (LinearPoly, Poly, centred, compose, conjugate, deflate,
                    iterate, poly_divmod, power_shape)
 from .roots import in_field_roots
@@ -101,35 +103,59 @@ def gamma_group(A: Poly) -> LinearGroup:
                        extension_hint=_extension_hint_order(residual, 2 * d))
 
 
-def m_infinity(f: Poly, iter_bound: int | None = None) -> LinearGroup:
-    """Linear maps commuting with f^(o k) for some k <= iter_bound.
+def _scale_cycles(f: Poly, iter_bound: int) -> tuple:
+    """(s, {a: k}): a*x + s*(a - 1) commutes with f^(o k) first at k, for
+    each such map with k <= iter_bound; (s, C) = centred(f), d = deg f.
 
-    The result is marked stable_at = ceil(bound/2) when the second half of
-    the bound range contributed nothing new.
+    f^(o k) = (x - s) o C^(o k) o (x + s), and C^(o k) is centred, so the
+    maps commuting with it are scalings a*x, with a^(d^k - 1) = 1 from the
+    top coefficient: a is a root of unity.  Let S be the roots of unity b
+    of the field with C(b*x) = b^d*C(x).  If a*x commutes with C^(o k),
+    C^(o k-1) o a*x and C^(o k-1) are right factors of one degree of
+    C^(o k) o a*x, so they differ by a linear map L on the left (right
+    factors of one degree are unique up to that; Kozen and Landau 1989),
+    and right cancellation of C^(o k-1) gives C o L = a*x o C.  C is
+    centred, so L = b*x with b in S and b^d = a.  Peeling k times, a, a^d,
+    ..., a^(d^(k-1)) lie in S and a^(d^k) = a; conversely such a walk
+    composes to C^(o k) o a*x = a*x o C^(o k).  S is the group of b with
+    b^(d-i) = 1 for each i with C_i != 0, so the walk a -> a^d never
+    leaves it, the k that work are the multiples of the length of the
+    cycle through a, and the least k is that length.
     """
     if f.degree < 2:
         raise RittKitError("m_infinity needs degree >= 2")
-    if iter_bound is None:
-        iter_bound = f.degree
     if iter_bound < 1:
         raise RittKitError("iter_bound must be >= 1")
-    # f^(o k) = (x - s) o C^(o k) o (x + s), so the maps commuting with it
-    # are a*x + s*(a - 1) for the roots a of _conj_scales(C^(o k), C^(o k))
     s, C = centred(f)
-    first_k = {}                        # (a, b) -> first k with a*x + b
-    Ck = Poly.x(f.field)
-    for k in range(1, iter_bound + 1):
-        try:
-            Ck = compose(C, Ck)
-        except ResourceCapError:
-            break
-        for a in in_field_roots(_conj_scales(Ck, Ck)):
-            first_k.setdefault((a, s * (a - 1)), k)
-    elements = sorted((LinearPoly.make(f.field, a, b) for a, b in first_k),
-                      key=lambda e: scalar_sort_key(e.a))
+    d = C.degree
+    S = {b for b in roots_of_unity(f.field)
+         if all(b ** (d - i) == 1 for i, c in enumerate(C.coeffs) if c)}
+    cycles = {}
+    for a in S:                         # no cycle inside S is longer than S
+        b, k = a ** d, 1
+        while b != a and k < min(iter_bound, len(S)):
+            b, k = b ** d, k + 1
+        if b == a:
+            cycles[a] = k
+    return s, cycles
+
+
+def m_infinity(f: Poly, iter_bound: int | None = None) -> LinearGroup:
+    """Linear maps commuting with f^(o k) for some k <= iter_bound.
+
+    The maps are a*x + s*(a - 1) for the scales a of `_scale_cycles`, and
+    iter_bound filters their cycle lengths, each the least k for its map;
+    no iterate of f is built.  The result is marked stable_at =
+    ceil(bound/2) when no cycle is longer than that.
+    """
+    if iter_bound is None:
+        iter_bound = f.degree
+    s, cycles = _scale_cycles(f, iter_bound)
+    elements = sorted((LinearPoly.make(f.field, a, s * (a - 1))
+                       for a in cycles), key=lambda e: scalar_sort_key(e.a))
     elements.sort(key=lambda e: not e.is_identity())
     half = (iter_bound + 1) // 2
-    stable = half if all(k <= half for k in first_k.values()) else None
+    stable = half if all(k <= half for k in cycles.values()) else None
     gen = _find_generator(elements)
     return LinearGroup(kind=FINITE, elements=tuple(elements),
                        companions=tuple(elements), generator=gen,
@@ -149,17 +175,16 @@ def commutes_with_iterate(f: Poly, g: Poly, bound: int) -> int | None:
 
 
 def common_commuting_iterate(f: Poly, bound: int | None = None) -> int | None:
-    """Smallest n <= bound such that f^(o n) commutes with all of M(f^inf)."""
+    """Smallest n <= bound such that f^(o n) commutes with all of M(f^inf).
+
+    An element of m_infinity(f, bound) commutes with f^(o n) exactly for
+    the multiples n of its cycle length (`_scale_cycles`), so the answer is
+    the lcm of those lengths, or None when it exceeds bound.
+    """
     if bound is None:
         bound = f.degree
-    group = m_infinity(f, bound)
-    F = Poly.x(f.field)
-    for n in range(1, bound + 1):
-        F = compose(f, F)
-        if all(compose(F, ell.to_poly()) == compose(ell.to_poly(), F)
-               for ell in group.elements):
-            return n
-    return None
+    n = lcm(*_scale_cycles(f, bound)[1].values())
+    return n if n <= bound else None
 
 
 def align_iterates(f: Poly, g: Poly, L: LinearPoly, n: int):

@@ -2,11 +2,12 @@
 
 `poly.centred(f)` is the one place a map is centred.  `_scale_polynomial`
 reads its scale equations off the centred forms of f and g as binomials,
-`m_infinity` iterates the centred map, and `power_shape` is a test on the
-centred form.  Each is compared here with a reference written out in the
-test without the centred form: the substitution f(u*x + v(u)) as a
-polynomial in x over K[u], the commuting linear maps of each iterate
-solved from its top two coefficients, and the power lc(f)*(x + t)^d.
+`m_infinity` walks the scales of the centred map, and `power_shape` is a
+test on the centred form.  Each is compared here with a reference written
+out in the test without the centred form: the substitution f(u*x + v(u))
+as a polynomial in x over K[u], the commuting linear maps of each
+iterate solved from its top two coefficients, and the power
+lc(f)*(x + t)^d.
 """
 
 from hypothesis import given

@@ -145,6 +145,7 @@ def test_align_iterates_rejects_cyclic():
 
 
 def test_m_infinity_stops_at_degree_cap():
-    # (x^101 + x)^(o 2) has degree 101^2 > DEGREE_CAP, so only k = 1 counts
+    # (x^101 + x)^(o 2) has degree 101^2 > DEGREE_CAP; the scale walk
+    # never builds it, and only +-x commute with any iterate
     grp = m_infinity(P(0, 1) + X ** 101, 3)
     assert {(e.a, e.b) for e in grp.elements} == {(1, 0), (-1, 0)}
