@@ -8,7 +8,6 @@ is exact by its degree bound, a gcd by exact division of both inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -16,6 +15,7 @@ from .errors import FieldMismatchError, RittKitError
 from .field import (QQ, FieldDescriptor, dense_mul, int_pseudo_divmod,
                     int_vector)
 from .poly import Poly, exact_div, poly_divmod, poly_gcd, squarefree_part
+from .record import Record, slot_setters
 
 
 def lagrange_interpolate(field: FieldDescriptor, points) -> Poly:
@@ -108,10 +108,22 @@ def _int_resultant(a: list, b: list) -> int:
     return s * t * (b[0] ** (len(a) - 1) // h ** (len(a) - 2))
 
 
-@dataclass(frozen=True)
-class BivarPoly:
+class BivarPoly(Record):
+    __slots__ = ("field", "rows")
     field: FieldDescriptor
     rows: tuple  # rows[j] is the Poly-in-x coefficient of y^j
+
+    def __init__(self, field: FieldDescriptor, rows: tuple):
+        _set_field(self, field)
+        _set_rows(self, rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.rows) == (other.field, other.rows)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.rows))
 
     @staticmethod
     def make(field: FieldDescriptor, rows) -> "BivarPoly":
@@ -220,6 +232,9 @@ class BivarPoly:
         for t in parts[1:]:
             out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
         return out
+
+
+_set_field, _set_rows = slot_setters(BivarPoly)
 
 
 def _sample_points(field, needed, bad_test):
@@ -394,8 +409,7 @@ def bivar_squarefree(G: BivarPoly) -> BivarPoly:
     return lines * prim
 
 
-@dataclass(frozen=True)
-class BivarCurve:
+class BivarCurve(Record):
     """Plane curve G(x,y) = 0, with G scaled to a canonical representative."""
     field: FieldDescriptor
     poly: BivarPoly

@@ -9,7 +9,8 @@ even integer; otherwise it stays symbolic and carries its meaning as data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .record import Record
 
 EXACT_BIT_THRESHOLD = 10 ** 6
 LOG2_SATURATION = 1e308
@@ -22,8 +23,7 @@ MAX = "max"
 HALF = "half"
 
 
-@dataclass(frozen=True)
-class ConstantExpr:
+class ConstantExpr(Record):
     kind: str
     value: int | None = None
     children: tuple = ()

@@ -330,21 +330,16 @@ def _cmd_preperiodic(args, field, doc):
 
 # -- argument plumbing ------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="ritt-kit",
-        description="Exact polynomial decomposition, symmetry, "
-                    "semiconjugacy, and invariant-curve toolkit.")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _commands() -> dict:
+    """Command name -> (handler, flags beyond `--field`), in help order.
+
+    Built per call, so a handler rebound at run time is the one run; the
+    `bound-c` commands (flags None) take d and n as positionals instead.
+    """
+    table = {}
 
     def cmd(name, handler, **flags):
-        p = sub.add_parser(name)
-        p.set_defaults(handler=handler)
-        p.add_argument("--field", default="Q",
-                       help="coefficient field: Q or Q(zeta N)")
-        for flag, spec in flags.items():
-            p.add_argument(f"--{flag.replace('_', '-')}", **spec)
-        return p
+        table[name] = (handler, flags)
 
     poly_arg = {"required": True}
     cmd("classify", _cmd_classify, f=poly_arg)
@@ -376,13 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd("ms-diagonal", _cmd_ms_diagonal, f=poly_arg,
         deg_cap={"type": int, "default": 3},
         iter_bound={"type": int, "default": None})
-    for name, handler in (("bound-c1", _cmd_bound_c1),
-                          ("bound-c", _cmd_bound_c)):
-        p = sub.add_parser(name)
-        p.set_defaults(handler=handler)
-        p.add_argument("--field", default="Q")
-        p.add_argument("d", type=int)
-        p.add_argument("n", type=int)
+    table["bound-c1"] = (_cmd_bound_c1, None)
+    table["bound-c"] = (_cmd_bound_c, None)
     orbit_flags = dict(f1=poly_arg, f2=poly_arg, alpha=poly_arg,
                        n={"type": int, "default": 10},
                        height_cap={"type": int,
@@ -397,12 +387,43 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd("preperiodic", _cmd_preperiodic, f=poly_arg, a=poly_arg,
         n={"type": int, "default": 64},
         height_cap={"type": int, "default": dml.DEFAULT_HEIGHT_CAP})
+    return table
+
+
+def _build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for `argv`: when argv[0] names a command, only that
+    command's subparser is built; otherwise (help, a typo, nothing) all of
+    them, so usage text, errors and exit codes match the full parser."""
+    commands = _commands()
+    names = [argv[0]] if argv and argv[0] in commands else list(commands)
+    ap = argparse.ArgumentParser(
+        prog="ritt-kit",
+        description="Exact polynomial decomposition, symmetry, "
+                    "semiconjugacy, and invariant-curve toolkit.")
+    # The usage line (printed with an unrecognized argument) lists every
+    # command even when one subparser is built.
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        metavar="{%s}" % ",".join(commands) if len(names) == 1 else None)
+    for name in names:
+        handler, flags = commands[name]
+        p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
+        if flags is None:
+            p.add_argument("--field", default="Q")
+            p.add_argument("d", type=int)
+            p.add_argument("n", type=int)
+            continue
+        p.add_argument("--field", default="Q",
+                       help="coefficient field: Q or Q(zeta N)")
+        for flag, spec in flags.items():
+            p.add_argument(f"--{flag.replace('_', '-')}", **spec)
     return ap
 
 
 def run_command(argv) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     doc = Doc()

@@ -13,18 +13,17 @@ in-field witness is a hint, not an error, so classification completes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .decompose import left_factor_solve
 from .errors import RittKitError
 from .field import scalar_sort_key
 from .poly import (LinearPoly, Poly, centred, chebyshev, compose, conjugate,
                    poly_gcd)
+from .record import Record
 from .roots import in_field_roots
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(Record):
     is_cyclic: bool
     is_dihedral: bool
     conj_to_power: LinearPoly | None
@@ -33,8 +32,7 @@ class ShapeReport:
     hints: tuple = ()
 
 
-@dataclass(frozen=True)
-class PowerNormalForm:
+class PowerNormalForm(Record):
     ell1: LinearPoly
     ell2: LinearPoly
     s: int

@@ -9,7 +9,6 @@ factors off the h-adic digits of F; a full composition verifies both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import (FieldExtensionRequiredError, HypothesisViolationError,
@@ -17,6 +16,7 @@ from .errors import (FieldExtensionRequiredError, HypothesisViolationError,
 from .field import nth_roots, scalar_sort_key
 from .poly import (LinearPoly, Poly, _top_root, compose, poly_divmod,
                    power_form)
+from .record import Record
 
 DECOMP_DEGREE_CAP = 64
 
@@ -89,8 +89,7 @@ def normalized_right_factor(F: Poly, e: int) -> tuple | None:
     return g, hp
 
 
-@dataclass(frozen=True)
-class DecompositionChain:
+class DecompositionChain(Record):
     factors: tuple  # left-to-right composition equals the target
 
     def recompose(self) -> Poly:
@@ -135,6 +134,27 @@ def complete_decompositions(f: Poly,
     Inner (non-leftmost) factors are the monic, zero-constant-term
     representatives of their linear-equivalence classes; the leftmost
     factor absorbs the linear slack, so each shuffle family appears once.
+
+    The chains are read off one table, one `normalized_right_factor`
+    call per divisor e of n = deg f: the normalized right factors h_e of
+    f (h_1 = x).  Write S for their degrees, 1 and n included.
+
+    * If e' | e are both in S, then h_e = u o h_e' with u normalized.
+      In characteristic 0, a o b = c o d gives b and d a common right
+      factor w of degree gcd(deg b, deg d) (Engstrom 1941); for
+      f = g o h_e = g' o h_e' that is deg w = e', so h_e' = lam o w for
+      a linear lam and h_e = v o w = (v o lam^-1) o h_e'.  Comparing
+      leading and constant terms of h_e and h_e' shows u monic with
+      u(0) = 0, and `left_factor_solve` finds it (so it never fails).
+    * Such a u is indecomposable iff no s in S lies strictly between:
+      u = a o b with deg a, deg b >= 2 makes b o h_e' a right factor of
+      f of degree e' deg b; conversely h_e = v o h_s, h_s = w o h_e' give
+      u = v o w by right cancellation.
+    * So a complete decomposition f = g o u_k o ... o u_1 with normalized
+      inner factors is one maximal chain 1 = e_0 | e_1 | ... | e_k | n in
+      S, each step a cover: h_(e_i) = u_i o h_(e_(i-1)) and g is the left
+      factor of f at e_k (for k = 0, g = f).  Normalized right factors
+      are unique per degree, so each chain arises once.
     """
     if f.degree < 2:
         raise RittKitError("decomposition needs degree >= 2")
@@ -143,23 +163,40 @@ def complete_decompositions(f: Poly,
     if f.degree > degree_cap:
         raise ResourceCapError(
             f"degree {f.degree} exceeds decomposition cap {degree_cap}")
-    splits = [split for split in (normalized_right_factor(f, e)
-                                  for e in range(2, f.degree)
-                                  if f.degree % e == 0) if split]
-    if not splits:
-        return [DecompositionChain((f,))]
-    chains = []
-    for g, h in splits:
-        if not _is_indecomposable(h):
-            continue
-        for sub in complete_decompositions(g, degree_cap):
-            chains.append(DecompositionChain(sub.factors + (h,)))
-    chains.sort(key=_chain_sort_key)
-    return chains
+    n = f.degree
+    left, right = {}, {n: f}  # e -> g and h_e with f = g o h_e
+    for e in range(2, n):
+        if n % e == 0:
+            split = normalized_right_factor(f, e)
+            if split:
+                left[e], right[e] = split
+    degrees = [1, *left, n]
+
+    def step(c: int, e: int) -> Poly:
+        """The factor u with h_e = u o h_c, for a cover c | e."""
+        if c == 1:
+            return right[e]
+        if e == n:
+            return left[c]
+        u = left_factor_solve(right[e], right[c])
+        if u is None:
+            raise RittKitError("internal: right factors of f are not "
+                               "nested by degree")
+        return u
+
+    chains = {1: [()]}  # e -> factor tuples composing to h_e
+    for e in degrees[1:]:
+        below = [c for c in degrees if c < e and e % c == 0]
+        chains[e] = [(step(c, e),) + tail for c in below
+                     if not any(s % c == 0 and e % s == 0 and c < s
+                                for s in below)
+                     for tail in chains[c]]
+    out = [DecompositionChain(factors) for factors in chains[n]]
+    out.sort(key=_chain_sort_key)
+    return out
 
 
-@dataclass(frozen=True)
-class EngstromCertificate:
+class EngstromCertificate(Record):
     g: Poly
     h: Poly
     a_hat: Poly
@@ -261,8 +298,7 @@ def engstrom_refine(a: Poly, b: Poly, c: Poly, d: Poly) -> EngstromCertificate:
     return cert
 
 
-@dataclass(frozen=True)
-class PowerFormSplit:
+class PowerFormSplit(Record):
     j: int
     k: int
     P1: Poly

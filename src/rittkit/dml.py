@@ -8,13 +8,13 @@ and preperiodicity checks with escape certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bivar import BivarCurve
 from .errors import BadReductionError, RittKitError
 from .field import scalar_abs
 from .poly import Poly
+from .record import Record
 
 DEFAULT_HEIGHT_CAP = 4096
 
@@ -27,14 +27,12 @@ def _height_bits(v) -> int:
     return max(f.numerator.bit_length(), f.denominator.bit_length())
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
+class OrbitPoint(Record):
     index: int
     point: tuple
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(Record):
     points: tuple  # OrbitPoint
     truncated_at: int | None  # first index not computed, if capped
 
@@ -60,8 +58,7 @@ def orbit(F1: Poly, F2: Poly, alpha: tuple, N: int,
     return Orbit(tuple(pts), truncated_at=None)
 
 
-@dataclass(frozen=True)
-class ReturnSet:
+class ReturnSet(Record):
     indices: tuple  # sorted return indices
     truncated_at: int | None
 
@@ -145,8 +142,7 @@ def return_set_modp(F1: Poly, F2: Poly, alpha: tuple, C: BivarCurve,
     return tuple(hits)
 
 
-@dataclass(frozen=True)
-class Progression:
+class Progression(Record):
     a: int
     b: int  # b = 0 is a singleton {a}
 
@@ -197,8 +193,7 @@ def progression_decompose(S, horizon: int):
     return progs
 
 
-@dataclass(frozen=True)
-class EscapeCertificate:
+class EscapeCertificate(Record):
     index: int
     radius: Fraction
     value: object  # orbit value at index, with |value| >= radius
@@ -216,8 +211,7 @@ class EscapeCertificate:
         return True
 
 
-@dataclass(frozen=True)
-class PreperiodicResult:
+class PreperiodicResult(Record):
     kind: str  # "Preperiodic" | "Escape" | "Unknown"
     tail: int | None = None
     period: int | None = None

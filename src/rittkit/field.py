@@ -8,13 +8,13 @@ rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import FieldMismatchError, ResourceCapError, RittKitError
+from .record import Record, slot_setters
 
 RATIONALS = "Rationals"
 CYCLOTOMIC = "Cyclotomic"
@@ -201,29 +201,39 @@ def euler_phi(m: int) -> int:
     return out - out // n if n > 1 else out
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(Record):
+    __slots__ = ("kind", "order")
     kind: str
-    order: int | None = None
+    order: int | None
 
-    def __post_init__(self):
-        if self.kind == RATIONALS:
-            if self.order is not None:
+    def __init__(self, kind: str, order: int | None = None):
+        if kind == RATIONALS:
+            if order is not None:
                 raise ValueError("Rationals carries no order")
-        elif self.kind == CYCLOTOMIC:
-            if self.order is None or self.order < 1:
+        elif kind == CYCLOTOMIC:
+            if order is None or order < 1:
                 raise ValueError("cyclotomic order must be a positive integer")
-            if self.order in (1, 2):
+            if order in (1, 2):
                 raise ValueError("Q(zeta_1) and Q(zeta_2) are Q; use Rationals")
             # phi(m) >= sqrt(m/2), so a larger m needs no factoring.
-            if (self.order > 2 * CYCLOTOMIC_DEGREE_CAP ** 2
-                    or euler_phi(self.order) > CYCLOTOMIC_DEGREE_CAP):
+            if (order > 2 * CYCLOTOMIC_DEGREE_CAP ** 2
+                    or euler_phi(order) > CYCLOTOMIC_DEGREE_CAP):
                 raise ResourceCapError(
-                    f"Q(zeta {self.order}) has degree phi({self.order}) above "
+                    f"Q(zeta {order}) has degree phi({order}) above "
                     f"the cyclotomic degree cap CYCLOTOMIC_DEGREE_CAP = "
                     f"{CYCLOTOMIC_DEGREE_CAP}")
         else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+            raise ValueError(f"unknown field kind {kind!r}")
+        _set_kind(self, kind)
+        _set_order(self, order)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.order) == (other.kind, other.order)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.order))
 
     @property
     def degree(self) -> int:
@@ -264,6 +274,7 @@ class FieldDescriptor:
         return f"Q(zeta {self.order})"
 
 
+_set_kind, _set_order = slot_setters(FieldDescriptor)
 QQ = FieldDescriptor(RATIONALS)
 
 

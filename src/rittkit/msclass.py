@@ -10,7 +10,6 @@ invariant curves coming from linear symmetries composed with iterates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 
@@ -22,6 +21,7 @@ from .errors import (CollapsedImageError, HypothesisViolationError,
                      RittKitError)
 from .field import _int_nth_root, scalar_sort_key
 from .poly import Poly, compose, iterate
+from .record import Record
 
 IMAGE_DEGREE_CAP = 512
 
@@ -102,8 +102,8 @@ def curve_image(C: BivarCurve, f: Poly, g: Poly) -> BivarCurve:
     A graph y = h(x), C.poly = c*y + r(x), whose image is a graph y = q(x)
     takes one left_factor_solve of q o f == g o h; x = h(y) is the same
     test on the transpose, f and g swapped.  Any other curve, or graph,
-    takes the bivariate route (ROADMAP item 2, rule (a)): the squarefree
-    part of Res_y(Res_x(G, u - f(x)), v - g(y)), two calls of _push_x;
+    takes the bivariate route: the squarefree part of
+    Res_y(Res_x(G, u - f(x)), v - g(y)), two calls of _push_x;
     bivar_squarefree splits off vertical and horizontal line content.
     """
     if f.degree < 1 or g.degree < 1:
@@ -120,8 +120,7 @@ def curve_image(C: BivarCurve, f: Poly, g: Poly) -> BivarCurve:
     return BivarCurve.make(total)
 
 
-@dataclass(frozen=True)
-class PeriodCertificate:
+class PeriodCertificate(Record):
     curve: BivarCurve
     period: int
     image_chain: tuple  # image_chain[0] = curve, image_chain[period] = curve
@@ -216,8 +215,7 @@ def f_tilde_candidate(f: Poly, iter_bound: int) -> Poly:
     return best
 
 
-@dataclass(frozen=True)
-class DiagonalCurve:
+class DiagonalCurve(Record):
     g: Poly
     curve: BivarCurve
     certificate: PeriodCertificate

@@ -6,21 +6,33 @@ the zero polynomial has an empty coefficient tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import FieldMismatchError, ResourceCapError, RittKitError
 from .field import (QQ, FieldDescriptor, dense_divmod, dense_mul, int_mul,
                     int_pseudo_divmod, int_vector, scalar_str)
+from .record import Record, slot_setters
 
 DEGREE_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Record):
+    __slots__ = ("field", "coeffs")
     field: FieldDescriptor
     coeffs: tuple
+
+    def __init__(self, field: FieldDescriptor, coeffs: tuple):
+        _set_field(self, field)
+        _set_coeffs(self, coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.coeffs) == (other.field, other.coeffs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
 
     @staticmethod
     def make(field: FieldDescriptor, coeffs) -> "Poly":
@@ -177,6 +189,8 @@ class Poly:
         return f"Poly({self})"
 
 
+_set_field, _set_coeffs = slot_setters(Poly)
+
 def compose(f: Poly, g: Poly, degree_cap: int = DEGREE_CAP) -> Poly:
     """f(g(x)) by Horner in g.
 
@@ -233,12 +247,26 @@ def chebyshev(delta: int, field: FieldDescriptor = QQ) -> Poly:
     return Poly.make(field, coeffs)
 
 
-@dataclass(frozen=True)
-class LinearPoly:
+class LinearPoly(Record):
     """Invertible ax + b."""
+    __slots__ = ("field", "a", "b")
     field: FieldDescriptor
     a: object
     b: object
+
+    def __init__(self, field: FieldDescriptor, a, b):
+        _set_linear_field(self, field)
+        _set_a(self, a)
+        _set_b(self, b)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.field, self.a, self.b)
+                    == (other.field, other.a, other.b))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.a, self.b))
 
     @staticmethod
     def make(field: FieldDescriptor, a, b) -> "LinearPoly":
@@ -276,6 +304,8 @@ class LinearPoly:
     def __str__(self):
         return str(self.to_poly())
 
+
+_set_linear_field, _set_a, _set_b = slot_setters(LinearPoly)
 
 def conjugate(ell: LinearPoly, f: Poly) -> Poly:
     """ell o f o ell^{-1}."""

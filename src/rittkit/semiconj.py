@@ -7,7 +7,6 @@ search is bounded and certificate producing, never a decision procedure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import chain
 from math import gcd
 
@@ -17,14 +16,14 @@ from .errors import (FieldExtensionRequiredError, HypothesisViolationError,
 from .field import nth_roots
 from .poly import (LinearPoly, Poly, _rev_compose_trunc, compose, conjugate,
                    iterate, power_form, power_shape, series_root)
+from .record import Record, fresh
 from .roots import in_field_roots
 
 DEFAULT_N_MAX = 4
 DEFAULT_DEG_CAP = 32
 
 
-@dataclass(frozen=True)
-class SemiconjWitness:
+class SemiconjWitness(Record):
     f: Poly
     p: Poly
     eta: Poly
@@ -95,15 +94,14 @@ def solve_p(f: Poly, eta: Poly, deg_bound: int) -> list:
     return solve_intertwiner(f, eta, deg_bound)
 
 
-@dataclass(frozen=True)
-class InouNormalForm:
+class InouNormalForm(Record):
     ell1: LinearPoly
     ell2: LinearPoly
     b: int
     c: int
     P: Poly
     congruence_flag: bool
-    detail: dict = dc_field(default_factory=dict)
+    detail: dict = fresh(dict)
 
     def verify(self, w: SemiconjWitness) -> bool:
         field = self.P.field
@@ -196,8 +194,7 @@ def inou_normal_form(w: SemiconjWitness) -> InouNormalForm:
     return nf
 
 
-@dataclass(frozen=True)
-class CommonWitness:
+class CommonWitness(Record):
     N: int
     eta: Poly
     p: Poly
@@ -276,8 +273,7 @@ def common_semiconjugate(f: Poly, g: Poly,
     return None
 
 
-@dataclass(frozen=True)
-class ApproxClasses:
+class ApproxClasses(Record):
     classes: tuple        # tuple of tuples of indices
     representatives: dict  # class root index -> (theta, N, {index: p_i})
 

@@ -11,7 +11,6 @@ centred map among the roots of unity of the field (`_scale_cycles`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .conjugacy import _scale_polynomial
@@ -20,14 +19,14 @@ from .errors import HypothesisViolationError, RittKitError
 from .field import roots_of_unity, scalar_sort_key
 from .poly import (LinearPoly, Poly, centred, compose, conjugate, deflate,
                    iterate, poly_divmod, power_shape)
+from .record import Record
 from .roots import in_field_roots
 
 INFINITE = "Infinite"
 FINITE = "Finite"
 
 
-@dataclass(frozen=True)
-class LinearGroup:
+class LinearGroup(Record):
     kind: str
     elements: tuple = ()          # LinearPoly, identity first
     companions: tuple = ()        # matching L with A o ell = L o A
