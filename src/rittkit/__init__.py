@@ -3,11 +3,9 @@ symmetry groups, semiconjugacy solving, invariant plane curves, and
 desk-scale orbit experiments over Q and cyclotomic fields."""
 
 from .bivar import (BivarCurve, BivarPoly, bivar_gcd, bivar_squarefree,
-                    lagrange_interpolate, resultant_univar, resultant_x,
-                    resultant_y)
+                    lagrange_interpolate, resultant_univar, resultant_y)
 from .bounds import ConstantExpr, bound_c, bound_c1, compare
-from .conjugacy import (PowerNormalForm, ShapeReport, classify,
-                        equivalence_witness, power_normal_form)
+from .conjugacy import ShapeReport, classify, equivalence_witness
 from .decompose import (DecompositionChain, EngstromCertificate,
                         PowerFormSplit, complete_decompositions,
                         decompose_power_form, engstrom_refine,
@@ -34,7 +32,8 @@ from .semiconj import (ApproxClasses, CommonWitness, InouNormalForm,
                        SemiconjWitness, approx_classes, common_semiconjugate,
                        inou_normal_form, semiconj_check, solve_eta,
                        solve_intertwiner, solve_p)
-from .symmetry import (LinearGroup, align_iterates, common_commuting_iterate,
-                       commutes_with_iterate, gamma_group, m_infinity)
+from .symmetry import (LinearGroup, PowerNormalForm, align_iterates,
+                       common_commuting_iterate, commutes_with_iterate,
+                       gamma_group, m_infinity, power_normal_form)
 
 __version__ = "0.1.0"

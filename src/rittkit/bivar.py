@@ -273,11 +273,6 @@ def resultant_y(G: BivarPoly, H: BivarPoly) -> Poly:
     return lagrange_interpolate(field, vals)
 
 
-def resultant_x(G: BivarPoly, H: BivarPoly) -> Poly:
-    """Resultant eliminating x, as a Poly in y."""
-    return resultant_y(G.transpose(), H.transpose())
-
-
 # -- gcd and squarefree structure in the y direction ------------------------
 
 def _primitive_y(G: BivarPoly) -> tuple:

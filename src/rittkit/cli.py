@@ -12,8 +12,7 @@ import argparse
 import sys
 
 from . import bounds, conjugacy, decompose, dml, msclass, semiconj, symmetry
-from .errors import (BadReductionError, CollapsedImageError,
-                     FieldExtensionRequiredError, HypothesisViolationError,
+from .errors import (CollapsedImageError, FieldExtensionRequiredError,
                      ParseError, ResourceCapError, RittKitError)
 from .field import scalar_str
 from .parser import parse_curve, parse_field, parse_poly
@@ -60,7 +59,11 @@ def _alpha(text: str, field) -> tuple:
     return (_scalar(parts[0], field), _scalar(parts[1], field))
 
 
-def _indices(text: str) -> list:
+def _polys(texts: list, field) -> list:
+    return [parse_poly(t, field) for t in texts]
+
+
+def _indices(text: str, field) -> list:
     text = text.strip()
     if not text:
         return []
@@ -71,10 +74,10 @@ def _indices(text: str) -> list:
 
 
 # -- subcommand handlers ----------------------------------------------------
+# `run_command` has parsed every flag a handler reads (see `_commands`).
 
 def _cmd_classify(args, field, doc):
-    f = parse_poly(args.f, field)
-    rep = conjugacy.classify(f)
+    rep = conjugacy.classify(args.f)
     doc.add("is_cyclic", str(rep.is_cyclic).lower())
     doc.add("is_dihedral", str(rep.is_dihedral).lower())
     doc.add("conj_to_power", _fmt_linear(rep.conj_to_power))
@@ -90,18 +93,14 @@ def _cmd_classify(args, field, doc):
 
 
 def _cmd_decompose(args, field, doc):
-    f = parse_poly(args.f, field)
-    chains = decompose.complete_decompositions(f, args.degree_cap)
+    chains = decompose.complete_decompositions(args.f, args.degree_cap)
     doc.add("chains", len(chains))
     for ch in chains:
         doc.item(" o ".join(f"({p})" for p in ch.factors))
 
 
 def _cmd_engstrom(args, field, doc):
-    a = parse_poly(args.a, field)
-    b = parse_poly(args.b, field)
-    c = parse_poly(args.c, field)
-    d = parse_poly(args.d, field)
+    a, b, c, d = args.a, args.b, args.c, args.d
     cert = decompose.engstrom_refine(a, b, c, d)
     doc.add("g", cert.g)
     doc.add("h", cert.h)
@@ -114,8 +113,7 @@ def _cmd_engstrom(args, field, doc):
 
 
 def _cmd_gamma(args, field, doc):
-    A = parse_poly(args.f, field)
-    grp = symmetry.gamma_group(A)
+    grp = symmetry.gamma_group(args.f)
     doc.add("kind", grp.kind)
     if grp.kind == "Finite":
         doc.add("order", grp.order())
@@ -128,8 +126,7 @@ def _cmd_gamma(args, field, doc):
 
 
 def _cmd_m_infinity(args, field, doc):
-    f = parse_poly(args.f, field)
-    grp = symmetry.m_infinity(f, args.iter_bound)
+    grp = symmetry.m_infinity(args.f, args.iter_bound)
     doc.add("order", grp.order())
     doc.add("elements", "")
     for ell in grp.elements:
@@ -139,32 +136,24 @@ def _cmd_m_infinity(args, field, doc):
 
 
 def _cmd_semiconj_check(args, field, doc):
-    w = semiconj.SemiconjWitness(parse_poly(args.f, field),
-                                 parse_poly(args.p, field),
-                                 parse_poly(args.eta, field))
+    w = semiconj.SemiconjWitness(args.f, args.p, args.eta)
     doc.add("holds", str(semiconj.semiconj_check(w)).lower())
 
 
 def _cmd_solve_eta(args, field, doc):
-    f = parse_poly(args.f, field)
-    p = parse_poly(args.p, field)
-    eta = semiconj.solve_eta(f, p)
+    eta = semiconj.solve_eta(args.f, args.p)
     doc.add("eta", "absent" if eta is None else eta)
 
 
 def _cmd_solve_p(args, field, doc):
-    f = parse_poly(args.f, field)
-    eta = parse_poly(args.eta, field)
-    sols = semiconj.solve_p(f, eta, args.deg_bound)
+    sols = semiconj.solve_p(args.f, args.eta, args.deg_bound)
     doc.add("solutions", len(sols))
     for p in sols:
         doc.item(p)
 
 
 def _cmd_inou(args, field, doc):
-    w = semiconj.SemiconjWitness(parse_poly(args.f, field),
-                                 parse_poly(args.p, field),
-                                 parse_poly(args.eta, field))
+    w = semiconj.SemiconjWitness(args.f, args.p, args.eta)
     nf = semiconj.inou_normal_form(w)
     doc.add("ell1", nf.ell1.to_poly())
     doc.add("ell2", nf.ell2.to_poly())
@@ -178,8 +167,7 @@ def _cmd_inou(args, field, doc):
 
 
 def _cmd_common_semiconj(args, field, doc):
-    f = parse_poly(args.f, field)
-    g = parse_poly(args.g, field)
+    f, g = args.f, args.g
     w = semiconj.common_semiconjugate(f, g, args.nmax, args.deg_cap)
     if w is None:
         doc.add("witness", "absent at caps")
@@ -192,8 +180,7 @@ def _cmd_common_semiconj(args, field, doc):
 
 
 def _cmd_approx_classes(args, field, doc):
-    fs = [parse_poly(t, field) for t in args.f]
-    res = semiconj.approx_classes(fs, args.nmax, args.deg_cap)
+    res = semiconj.approx_classes(args.f, args.nmax, args.deg_cap)
     doc.add("classes", len(res.classes))
     for cls in res.classes:
         doc.item(",".join(str(i) for i in cls))
@@ -206,17 +193,12 @@ def _cmd_approx_classes(args, field, doc):
 
 
 def _cmd_curve_image(args, field, doc):
-    C = parse_curve(args.curve, field)
-    f = parse_poly(args.f, field)
-    g = parse_poly(args.g, field)
-    doc.add("image", msclass.curve_image(C, f, g))
+    doc.add("image", msclass.curve_image(args.curve, args.f, args.g))
 
 
 def _cmd_curve_period(args, field, doc):
-    C = parse_curve(args.curve, field)
-    f = parse_poly(args.f, field)
-    g = parse_poly(args.g, field)
-    cert = msclass.curve_period(C, f, g, args.nmax, args.degree_cap)
+    f, g = args.f, args.g
+    cert = msclass.curve_period(args.curve, f, g, args.nmax, args.degree_cap)
     if cert is None:
         doc.add("period", f"not periodic within {args.nmax}")
         return
@@ -228,33 +210,21 @@ def _cmd_curve_period(args, field, doc):
 
 
 def _cmd_ms_diagonal(args, field, doc):
-    f = parse_poly(args.f, field)
-    out = msclass.ms_diagonal_curves(f, args.deg_cap, args.iter_bound)
+    out = msclass.ms_diagonal_curves(args.f, args.deg_cap, args.iter_bound)
     doc.add("curves", len(out))
     for dc in out:
         doc.item(f"{dc.curve} (g = {dc.g}, period {dc.certificate.period})")
 
 
-def _add_trace(doc, trace):
+def _cmd_bound(args, field, doc):
+    bound = bounds.bound_c if args.command == "bound-c" else bounds.bound_c1
+    trace = []
+    val = bound(args.d, args.n, trace)
+    doc.add("value", val)
+    doc.add("exact", str(val.is_exact()).lower())
     doc.add("trace", "")
     for label, value in trace:
         doc.item(f"{label} = {value}")
-
-
-def _cmd_bound_c1(args, field, doc):
-    trace = []
-    val = bounds.bound_c1(args.d, args.n, trace)
-    doc.add("value", val)
-    doc.add("exact", str(val.is_exact()).lower())
-    _add_trace(doc, trace)
-
-
-def _cmd_bound_c(args, field, doc):
-    trace = []
-    val = bounds.bound_c(args.d, args.n, trace)
-    doc.add("value", val)
-    doc.add("exact", str(val.is_exact()).lower())
-    _add_trace(doc, trace)
 
 
 def _fmt_point(pt) -> str:
@@ -262,10 +232,7 @@ def _fmt_point(pt) -> str:
 
 
 def _cmd_orbit(args, field, doc):
-    F1 = parse_poly(args.f1, field)
-    F2 = parse_poly(args.f2, field)
-    orb = dml.orbit(F1, F2, _alpha(args.alpha, field), args.n,
-                    args.height_cap)
+    orb = dml.orbit(args.f1, args.f2, args.alpha, args.n, args.height_cap)
     doc.add("points", len(orb.points))
     for p in orb.points:
         doc.item(f"{p.index}: {_fmt_point(p.point)}")
@@ -274,10 +241,7 @@ def _cmd_orbit(args, field, doc):
 
 
 def _cmd_return_set(args, field, doc):
-    F1 = parse_poly(args.f1, field)
-    F2 = parse_poly(args.f2, field)
-    C = parse_curve(args.curve, field)
-    rs = dml.return_set_exact(F1, F2, _alpha(args.alpha, field), C,
+    rs = dml.return_set_exact(args.f1, args.f2, args.alpha, args.curve,
                               args.n, args.height_cap)
     doc.add("indices", ",".join(str(i) for i in rs.indices) or "empty")
     doc.add("truncated_at",
@@ -285,16 +249,12 @@ def _cmd_return_set(args, field, doc):
 
 
 def _cmd_return_set_modp(args, field, doc):
-    F1 = parse_poly(args.f1, field)
-    F2 = parse_poly(args.f2, field)
-    C = parse_curve(args.curve, field)
-    alpha = _alpha(args.alpha, field)
-    primes = _indices(args.primes)
-    if not primes:
+    if not args.primes:
         raise ParseError("need at least one prime")
     inter = None
-    for p in sorted(primes):
-        hits = dml.return_set_modp(F1, F2, alpha, C, p, args.n)
+    for p in sorted(args.primes):
+        hits = dml.return_set_modp(args.f1, args.f2, args.alpha, args.curve,
+                                   p, args.n)
         doc.add(f"mod_{p}", ",".join(str(i) for i in hits) or "empty")
         inter = set(hits) if inter is None else inter & set(hits)
     doc.add("intersection",
@@ -302,8 +262,7 @@ def _cmd_return_set_modp(args, field, doc):
 
 
 def _cmd_progressions(args, field, doc):
-    S = set(_indices(args.set))
-    progs = dml.progression_decompose(S, args.horizon)
+    progs = dml.progression_decompose(set(args.set), args.horizon)
     if progs is None:
         doc.add("progressions", "absent (no eventually periodic fit)")
         return
@@ -313,9 +272,8 @@ def _cmd_progressions(args, field, doc):
 
 
 def _cmd_preperiodic(args, field, doc):
-    f = parse_poly(args.f, field)
-    res = dml.preperiodic_check(f, _scalar(args.a, field), args.n,
-                                args.height_cap)
+    f = args.f
+    res = dml.preperiodic_check(f, args.a, args.n, args.height_cap)
     doc.add("kind", res.kind)
     if res.kind == "Preperiodic":
         doc.add("tail", res.tail)
@@ -333,58 +291,62 @@ def _cmd_preperiodic(args, field, doc):
 def _commands() -> dict:
     """Command name -> (handler, flags beyond `--field`), in help order.
 
-    Built per call, so a handler rebound at run time is the one run; the
-    `bound-c` commands (flags None) take d and n as positionals instead.
+    A flag spec is the keywords of `add_argument`, plus `parse` for a flag
+    read in the field: `run_command` replaces its text by
+    `parse(text, field)`, flag by flag in this order, before the handler
+    runs.  Built per call, so a handler or parser rebound at run time is
+    the one run; the `bound-c` commands (flags None) take d and n as
+    positionals instead.
     """
     table = {}
 
     def cmd(name, handler, **flags):
         table[name] = (handler, flags)
 
-    poly_arg = {"required": True}
-    cmd("classify", _cmd_classify, f=poly_arg)
-    cmd("decompose", _cmd_decompose, f=poly_arg,
+    poly = {"required": True, "parse": parse_poly}
+    curve = {"required": True, "parse": parse_curve}
+    cmd("classify", _cmd_classify, f=poly)
+    cmd("decompose", _cmd_decompose, f=poly,
         degree_cap={"type": int, "default": decompose.DECOMP_DEGREE_CAP})
-    cmd("engstrom", _cmd_engstrom, a=poly_arg, b=poly_arg, c=poly_arg,
-        d=poly_arg)
-    cmd("gamma", _cmd_gamma, f=poly_arg)
-    cmd("m-infinity", _cmd_m_infinity, f=poly_arg,
+    cmd("engstrom", _cmd_engstrom, a=poly, b=poly, c=poly, d=poly)
+    cmd("gamma", _cmd_gamma, f=poly)
+    cmd("m-infinity", _cmd_m_infinity, f=poly,
         iter_bound={"type": int, "default": None})
-    cmd("semiconj-check", _cmd_semiconj_check, f=poly_arg, p=poly_arg,
-        eta=poly_arg)
-    cmd("solve-eta", _cmd_solve_eta, f=poly_arg, p=poly_arg)
-    cmd("solve-p", _cmd_solve_p, f=poly_arg, eta=poly_arg,
+    cmd("semiconj-check", _cmd_semiconj_check, f=poly, p=poly, eta=poly)
+    cmd("solve-eta", _cmd_solve_eta, f=poly, p=poly)
+    cmd("solve-p", _cmd_solve_p, f=poly, eta=poly,
         deg_bound={"type": int, "default": 8})
-    cmd("inou", _cmd_inou, f=poly_arg, p=poly_arg, eta=poly_arg)
-    cmd("common-semiconj", _cmd_common_semiconj, f=poly_arg, g=poly_arg,
+    cmd("inou", _cmd_inou, f=poly, p=poly, eta=poly)
+    cmd("common-semiconj", _cmd_common_semiconj, f=poly, g=poly,
         nmax={"type": int, "default": semiconj.DEFAULT_N_MAX},
         deg_cap={"type": int, "default": semiconj.DEFAULT_DEG_CAP})
     cmd("approx-classes", _cmd_approx_classes,
-        f={"action": "append", "required": True},
+        f={"action": "append", "required": True, "parse": _polys},
         nmax={"type": int, "default": semiconj.DEFAULT_N_MAX},
         deg_cap={"type": int, "default": semiconj.DEFAULT_DEG_CAP})
-    cmd("curve-image", _cmd_curve_image, curve=poly_arg, f=poly_arg,
-        g=poly_arg)
-    cmd("curve-period", _cmd_curve_period, curve=poly_arg, f=poly_arg,
-        g=poly_arg, nmax={"type": int, "default": 4},
+    cmd("curve-image", _cmd_curve_image, curve=curve, f=poly, g=poly)
+    cmd("curve-period", _cmd_curve_period, curve=curve, f=poly, g=poly,
+        nmax={"type": int, "default": 4},
         degree_cap={"type": int, "default": msclass.IMAGE_DEGREE_CAP})
-    cmd("ms-diagonal", _cmd_ms_diagonal, f=poly_arg,
+    cmd("ms-diagonal", _cmd_ms_diagonal, f=poly,
         deg_cap={"type": int, "default": 3},
         iter_bound={"type": int, "default": None})
-    table["bound-c1"] = (_cmd_bound_c1, None)
-    table["bound-c"] = (_cmd_bound_c, None)
-    orbit_flags = dict(f1=poly_arg, f2=poly_arg, alpha=poly_arg,
+    table["bound-c1"] = (_cmd_bound, None)
+    table["bound-c"] = (_cmd_bound, None)
+    alpha = {"required": True, "parse": _alpha}
+    indices = {"required": True, "parse": _indices}
+    orbit_flags = dict(f1=poly, f2=poly, alpha=alpha,
                        n={"type": int, "default": 10},
                        height_cap={"type": int,
                                    "default": dml.DEFAULT_HEIGHT_CAP})
     cmd("orbit", _cmd_orbit, **orbit_flags)
-    cmd("return-set", _cmd_return_set, curve=poly_arg, **orbit_flags)
-    cmd("return-set-modp", _cmd_return_set_modp, curve=poly_arg,
-        f1=poly_arg, f2=poly_arg, alpha=poly_arg, primes=poly_arg,
-        n={"type": int, "default": 10})
-    cmd("progressions", _cmd_progressions, set={"required": True},
+    cmd("return-set", _cmd_return_set, curve=curve, **orbit_flags)
+    cmd("return-set-modp", _cmd_return_set_modp, curve=curve, f1=poly,
+        f2=poly, alpha=alpha, primes=indices, n={"type": int, "default": 10})
+    cmd("progressions", _cmd_progressions, set=indices,
         horizon={"type": int, "required": True})
-    cmd("preperiodic", _cmd_preperiodic, f=poly_arg, a=poly_arg,
+    cmd("preperiodic", _cmd_preperiodic, f=poly,
+        a={"required": True, "parse": _scalar},
         n={"type": int, "default": 64},
         height_cap={"type": int, "default": dml.DEFAULT_HEIGHT_CAP})
     return table
@@ -408,7 +370,9 @@ def _build_parser(argv=None) -> argparse.ArgumentParser:
     for name in names:
         handler, flags = commands[name]
         p = sub.add_parser(name)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parsers=[
+            (flag, spec["parse"]) for flag, spec in (flags or {}).items()
+            if "parse" in spec])
         if flags is None:
             p.add_argument("--field", default="Q")
             p.add_argument("d", type=int)
@@ -417,8 +381,22 @@ def _build_parser(argv=None) -> argparse.ArgumentParser:
         p.add_argument("--field", default="Q",
                        help="coefficient field: Q or Q(zeta N)")
         for flag, spec in flags.items():
-            p.add_argument(f"--{flag.replace('_', '-')}", **spec)
+            p.add_argument(f"--{flag.replace('_', '-')}",
+                           **{k: v for k, v in spec.items() if k != "parse"})
     return ap
+
+
+# (error class, key, value, exit code, attribute printed when not None):
+# an exception ends in the first row whose class it is an instance of.
+OUTCOMES = (
+    (ParseError, "error", "parse", EXIT_INPUT, "position"),
+    (ResourceCapError, "error", "resource-cap", EXIT_RESOURCE, None),
+    (FieldExtensionRequiredError, "error", "field-extension-required",
+     EXIT_EXTENSION, "equation"),
+    (CollapsedImageError, "result", "collapsed", EXIT_OK, None),
+    ((RittKitError, ValueError), "error", "input", EXIT_INPUT, None),
+    (Exception, "error", "internal", EXIT_INTERNAL, None),
+)
 
 
 def run_command(argv) -> int:
@@ -428,46 +406,21 @@ def run_command(argv) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     doc = Doc()
     doc.add("command", args.command)
+    code = EXIT_OK
     try:
         field = parse_field(args.field)
+        for flag, parse in args.parsers:
+            setattr(args, flag, parse(getattr(args, flag), field))
         args.handler(args, field, doc)
-    except ParseError as exc:
-        doc.add("error", "parse")
-        doc.add("message", exc)
-        if exc.position is not None:
-            doc.add("position", exc.position)
-        sys.stdout.write(doc.render())
-        return EXIT_INPUT
-    except ResourceCapError as exc:
-        doc.add("error", "resource-cap")
-        doc.add("message", exc)
-        sys.stdout.write(doc.render())
-        return EXIT_RESOURCE
-    except FieldExtensionRequiredError as exc:
-        doc.add("error", "field-extension-required")
-        doc.add("message", exc)
-        if exc.equation is not None:
-            doc.add("equation", exc.equation)
-        sys.stdout.write(doc.render())
-        return EXIT_EXTENSION
-    except CollapsedImageError as exc:
-        doc.add("result", "collapsed")
-        doc.add("message", exc)
-        sys.stdout.write(doc.render())
-        return EXIT_OK
-    except (BadReductionError, HypothesisViolationError, RittKitError,
-            ValueError) as exc:
-        doc.add("error", "input")
-        doc.add("message", exc)
-        sys.stdout.write(doc.render())
-        return EXIT_INPUT
     except Exception as exc:
-        doc.add("error", "internal")
+        _, key, value, code, attr = next(
+            row for row in OUTCOMES if isinstance(exc, row[0]))
+        doc.add(key, value)
         doc.add("message", exc)
-        sys.stdout.write(doc.render())
-        return EXIT_INTERNAL
+        if attr and getattr(exc, attr) is not None:
+            doc.add(attr, getattr(exc, attr))
     sys.stdout.write(doc.render())
-    return EXIT_OK
+    return code
 
 
 def main() -> None:

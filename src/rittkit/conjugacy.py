@@ -32,20 +32,6 @@ class ShapeReport(Record):
     hints: tuple = ()
 
 
-class PowerNormalForm(Record):
-    ell1: LinearPoly
-    ell2: LinearPoly
-    s: int
-    n: int
-    P: Poly
-
-    def verify(self, A: Poly) -> bool:
-        lhs = compose(self.ell1.to_poly(), compose(A, self.ell2.to_poly()))
-        rhs = Poly.monomial(A.field, self.s) * compose(
-            self.P, Poly.monomial(A.field, self.n))
-        return lhs == rhs
-
-
 def _binomial_gcd(fieldK, binomials) -> Poly:
     """The monic gcd in u of the binomials c*u^i - e*u^j, for each
     (c, i, e, j) in binomials; zero when every binomial vanishes."""
@@ -151,36 +137,3 @@ def equivalence_witness(f: Poly, g: Poly):
         if L2 is not None:
             return L1, LinearPoly.from_poly(L2)
     return None
-
-
-def power_normal_form(A: Poly) -> PowerNormalForm | None:
-    """ell1 o A o ell2 = x^s P(x^n) with n the order of the symmetry group."""
-    if A.degree < 2:
-        raise RittKitError("normal form needs degree >= 2")
-    from .symmetry import gamma_group
-    grp = gamma_group(A)
-    if grp.kind == "Infinite":
-        return None
-    fieldK = A.field
-    n = len(grp.elements)
-    if n == 1:
-        ell2 = LinearPoly.identity(fieldK)
-        tilde = A
-    else:
-        gen = grp.generator
-        c = gen.b / (fieldK.one() - gen.a)
-        ell2 = LinearPoly.make(fieldK, 1, c)
-        tilde = compose(A, ell2.to_poly())
-    a0 = tilde.constant_term()
-    C = tilde - a0
-    ell1 = LinearPoly.make(fieldK, 1, -a0)
-    s = C.multiplicity_at_zero()
-    support = [i for i, c in enumerate(C.coeffs) if c]
-    if any((i - s) % n for i in support):
-        raise RittKitError("support pattern disagrees with the symmetry order")
-    P = Poly.make(fieldK, [C.coeff(s + n * k)
-                           for k in range((C.degree - s) // n + 1)])
-    nf = PowerNormalForm(ell1, ell2, s, n, P)
-    if not nf.verify(A):
-        raise RittKitError("normal form verification failed")
-    return nf

@@ -15,6 +15,7 @@ from .errors import BadReductionError, RittKitError
 from .field import scalar_abs
 from .poly import Poly
 from .record import Record
+from .roots import _horner, is_prime
 
 DEFAULT_HEIGHT_CAP = 4096
 
@@ -72,17 +73,6 @@ def return_set_exact(F1: Poly, F2: Poly, alpha: tuple, C: BivarCurve,
     return ReturnSet(hits, orb.truncated_at)
 
 
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _reduce_scalar(v, p: int, what: str) -> int:
     f = Fraction(v)
     if f.denominator % p == 0:
@@ -108,7 +98,7 @@ def return_set_modp(F1: Poly, F2: Poly, alpha: tuple, C: BivarCurve,
     """{n <= N : the orbit lands on C mod p}; a superset of the exact set."""
     if N < 0:
         raise RittKitError("N must be >= 0")
-    if not _is_odd_prime(p):
+    if p == 2 or not is_prime(p):
         raise BadReductionError(f"{p} is not an odd prime")
     f1 = _reduce_poly(F1, p, "F1")
     f2 = _reduce_poly(F2, p, "F2")
@@ -121,24 +111,17 @@ def return_set_modp(F1: Poly, F2: Poly, alpha: tuple, C: BivarCurve,
         raise BadReductionError(f"curve polynomial vanishes mod {p}")
     x0 = _reduce_scalar(alpha[0], p, "alpha")
     y0 = _reduce_scalar(alpha[1], p, "alpha")
-
-    def ev(coeffs, t):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * t + c) % p
-        return acc
-
     hits = []
     for n in range(N + 1):
         val = 0
         ypow = 1
         for row in grid:
-            val = (val + ypow * ev(row, x0)) % p
+            val = (val + ypow * _horner(row, x0, p)) % p
             ypow = ypow * y0 % p
         if val == 0:
             hits.append(n)
         if n < N:
-            x0, y0 = ev(f1, x0), ev(f2, y0)
+            x0, y0 = _horner(f1, x0, p), _horner(f2, y0, p)
     return tuple(hits)
 
 

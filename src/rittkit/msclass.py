@@ -15,6 +15,7 @@ from operator import mul
 
 from .bivar import (BivarCurve, BivarPoly, _sample_points, bivar_squarefree,
                     interpolate_columns)
+from .conjugacy import classify
 from .decompose import left_factor_solve
 from .errors import (CollapsedImageError, HypothesisViolationError,
                      FieldExtensionRequiredError, ResourceCapError,
@@ -22,6 +23,8 @@ from .errors import (CollapsedImageError, HypothesisViolationError,
 from .field import _int_nth_root, scalar_sort_key
 from .poly import Poly, compose, iterate
 from .record import Record
+from .semiconj import solve_intertwiner
+from .symmetry import commutes_with_iterate, m_infinity
 
 IMAGE_DEGREE_CAP = 512
 
@@ -193,8 +196,6 @@ def f_tilde_candidate(f: Poly, iter_bound: int) -> Poly:
     each f^(o k), k <= iter_bound, is solved for commuters of degree
     below d, defaulting to f.
     """
-    from .conjugacy import classify
-    from .semiconj import solve_intertwiner
     if not classify(f).disintegrated:
         raise HypothesisViolationError(
             "f-tilde expects a disintegrated polynomial")
@@ -234,7 +235,6 @@ def ms_diagonal_curves(f: Poly, deg_cap: int,
     nonlinear commuter; each emitted curve carries a period certificate.
     f must be disintegrated (`f_tilde_candidate` raises otherwise).
     """
-    from .symmetry import commutes_with_iterate, m_infinity
     if f.degree < 2:
         raise RittKitError("ms_diagonal_curves needs degree >= 2")
     if iter_bound is None:
@@ -279,7 +279,6 @@ def periodic_graph_search(f: Poly, g: Poly, deg_cap: int,
     as a DiagonalCurve with a period certificate.  Graphs invariant under
     any iterate force equal degrees, so unequal inputs yield nothing.
     """
-    from .semiconj import solve_intertwiner
     if f.degree < 2 or g.degree < 2:
         raise RittKitError("periodic_graph_search needs degrees >= 2")
     if N_max < 1 or deg_cap < 1:

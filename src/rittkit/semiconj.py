@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import chain
 from math import gcd
 
+from .conjugacy import classify
 from .decompose import right_factor_solve
 from .errors import (FieldExtensionRequiredError, HypothesisViolationError,
                      ResourceCapError, RittKitError)
@@ -123,7 +124,6 @@ def inou_normal_form(w: SemiconjWitness) -> InouNormalForm:
     flag reports whether c = b holds modulo deg f; the raw residues ship in
     detail for inspection since competing congruences exist.
     """
-    from .conjugacy import classify
     f, p, eta = w.f, w.p, w.eta
     field = f.field
     delta, b = f.degree, p.degree
@@ -236,7 +236,6 @@ def common_semiconjugate(f: Poly, g: Poly,
     Bounded search: absence means "not found at these caps", never a
     proof that f and g are inequivalent.
     """
-    from .conjugacy import classify
     if N_max < 1:
         raise RittKitError("N_max must be >= 1")
     if f.degree != g.degree or f.degree < 2:

@@ -4,7 +4,8 @@ Gamma(A) collects the linear ell with A o ell = L o A for some linear L;
 M(f^inf) collects the linear maps commuting with some iterate of f.
 `gamma_group` reads the scales of ell as in-field roots of one gcd of
 binomials from `conjugacy`, and the translation part of ell is a forced
-linear function of its scale.  `m_infinity` and `common_commuting_iterate`
+linear function of its scale; `power_normal_form` straightens A to
+x^s P(x^n) with n = |Gamma(A)|.  `m_infinity` and `common_commuting_iterate`
 build no iterate: they centre f once and walk the scales a -> a^d of the
 centred map among the roots of unity of the field (`_scale_cycles`).
 """
@@ -100,6 +101,52 @@ def gamma_group(A: Poly) -> LinearGroup:
     return LinearGroup(kind=FINITE, elements=tuple(elements),
                        companions=tuple(companions), generator=gen,
                        extension_hint=_extension_hint_order(residual, 2 * d))
+
+
+class PowerNormalForm(Record):
+    ell1: LinearPoly
+    ell2: LinearPoly
+    s: int
+    n: int
+    P: Poly
+
+    def verify(self, A: Poly) -> bool:
+        lhs = compose(self.ell1.to_poly(), compose(A, self.ell2.to_poly()))
+        rhs = Poly.monomial(A.field, self.s) * compose(
+            self.P, Poly.monomial(A.field, self.n))
+        return lhs == rhs
+
+
+def power_normal_form(A: Poly) -> PowerNormalForm | None:
+    """ell1 o A o ell2 = x^s P(x^n) with n the order of the symmetry group."""
+    if A.degree < 2:
+        raise RittKitError("normal form needs degree >= 2")
+    grp = gamma_group(A)
+    if grp.kind == "Infinite":
+        return None
+    fieldK = A.field
+    n = len(grp.elements)
+    if n == 1:
+        ell2 = LinearPoly.identity(fieldK)
+        tilde = A
+    else:
+        gen = grp.generator
+        c = gen.b / (fieldK.one() - gen.a)
+        ell2 = LinearPoly.make(fieldK, 1, c)
+        tilde = compose(A, ell2.to_poly())
+    a0 = tilde.constant_term()
+    C = tilde - a0
+    ell1 = LinearPoly.make(fieldK, 1, -a0)
+    s = C.multiplicity_at_zero()
+    support = [i for i, c in enumerate(C.coeffs) if c]
+    if any((i - s) % n for i in support):
+        raise RittKitError("support pattern disagrees with the symmetry order")
+    P = Poly.make(fieldK, [C.coeff(s + n * k)
+                           for k in range((C.degree - s) // n + 1)])
+    nf = PowerNormalForm(ell1, ell2, s, n, P)
+    if not nf.verify(A):
+        raise RittKitError("normal form verification failed")
+    return nf
 
 
 def _scale_cycles(f: Poly, iter_bound: int) -> tuple:

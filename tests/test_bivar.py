@@ -7,7 +7,7 @@ from sympy.polys.subresultants_qq_zz import sylvester
 
 from rittkit import (QQ, BivarCurve, BivarPoly, Poly, bivar_gcd,
                      bivar_squarefree, lagrange_interpolate, parse_bivar,
-                     resultant_univar, resultant_x, resultant_y)
+                     resultant_univar, resultant_y)
 
 
 def P(*coeffs):
@@ -71,13 +71,6 @@ def test_bivar_resultant_vs_sympy():
         got = resultant_y(A, B)
         want = P(*[Fraction(int(c)) for c in expected]) if any(expected) else Poly(QQ, ())
         assert got == want
-
-
-def test_resultant_x_transpose():
-    G = parse_bivar("x - y^2")
-    H = parse_bivar("x - 9")
-    r = resultant_x(G, H)
-    assert r.monic() == P(-9, 0, 1).monic()
 
 
 def test_lagrange_interpolate():

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import random
 import subprocess
@@ -13,7 +14,7 @@ from conftest import random_poly, rng_for
 
 import rittkit
 from rittkit import QQ, BivarPoly, Poly, cyclotomic_field, parse_bivar, parse_poly
-from rittkit.cli import run_command
+from rittkit.cli import _commands, run_command
 from rittkit.errors import ParseError, ResourceCapError
 from rittkit.parser import MAX_NESTING, POWER_BITS_CAP, POWER_SIZE_CAP
 from rittkit.poly import DEGREE_CAP
@@ -188,6 +189,14 @@ def run_cli_limited(argv, limit_s=10):
                           text=True)
 
 
+def test_return_set_modp_large_prime_is_fast():
+    out = run_cli_limited(["return-set-modp", "--f1", "x^2", "--f2", "x^2",
+                           "--alpha", "2,3", "--curve", "y - x", "--n", "3",
+                           "--primes", "1000000000000000003"])
+    assert out.returncode == 0
+    assert out.stdout.endswith("intersection: empty\n")
+
+
 def test_huge_exponent_hits_degree_cap():
     out = run_cli_limited(["classify", "--f", "x^99999999"])
     assert out.returncode == 3
@@ -297,6 +306,9 @@ SUCCESS_PATHS = [
     (["preperiodic", "--f", "x^2 + 1", "--a", "0", "--n", "10"],
      "command: preperiodic\nkind: Escape\nindex: 3\nradius: 3\nvalue: 5\n"
      "verified: true\n"),
+    (["m-infinity", "--field", "Q(zeta 3)", "--f", "x^5 + x^2"],
+     "command: m-infinity\norder: 3\nelements: \n  - x\n  - (-1 - z)*x\n"
+     "  - z*x\ngenerator: (-1 - z)*x\nstable_at: 3\n"),
 ]
 
 
@@ -304,6 +316,22 @@ SUCCESS_PATHS = [
                          ids=[" ".join(a[:2]) for a, _ in SUCCESS_PATHS])
 def test_subcommand_success_paths(argv, stdout):
     assert run(argv) == (0, stdout)
+
+
+def test_every_command_has_a_byte_pinned_stdout():
+    golden = json.loads((Path(__file__).resolve().parent.parent / "bench"
+                         / "golden_cli.json").read_text(encoding="utf-8"))
+    pinned = ({e["argv"][0] for e in golden["commands"]}
+              | {argv[0] for argv, _ in SUCCESS_PATHS})
+    assert [name for name in _commands() if name not in pinned] == []
+
+
+def test_first_malformed_flag_in_table_order_is_reported():
+    # --curve comes before --f1 in the table and in --help
+    assert run(["return-set", "--f1", "x^", "--curve", "y -", "--f2", "x^2",
+                "--alpha", "2,0"]) == (
+        2, "command: return-set\nerror: parse\n"
+        "message: unexpected end of input\nposition: 3\n")
 
 
 def test_approx_classes_unequal_degrees():

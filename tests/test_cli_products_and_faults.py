@@ -14,7 +14,10 @@ import pytest
 
 import rittkit
 from rittkit import cli
-from rittkit.errors import ResourceCapError
+from rittkit.errors import (BadReductionError, CollapsedImageError,
+                            FieldExtensionRequiredError,
+                            HypothesisViolationError, ParseError,
+                            ResourceCapError)
 from rittkit.parser import POWER_SIZE_CAP, parse_bivar, parse_poly
 
 SRC = str(Path(rittkit.__file__).resolve().parent.parent)
@@ -58,3 +61,39 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     assert captured.out == ("command: classify\nerror: internal\n"
                             "message: unsupported operand\n")
     assert "Traceback" not in captured.out + captured.err
+
+
+# One case per row of `cli.OUTCOMES` (TypeError is the case above), so a
+# reordered table changes some stdout or exit code.
+OUTCOME_CASES = [
+    (ParseError("unexpected character", position=4), 2,
+     "error: parse\nmessage: unexpected character\nposition: 4\n"),
+    (ParseError("need at least one prime"), 2,
+     "error: parse\nmessage: need at least one prime\n"),
+    (ResourceCapError("DEGREE_CAP = 10000"), 3,
+     "error: resource-cap\nmessage: DEGREE_CAP = 10000\n"),
+    (FieldExtensionRequiredError("no in-field root", equation="t^2 = 2"), 4,
+     "error: field-extension-required\nmessage: no in-field root\n"
+     "equation: t^2 = 2\n"),
+    (CollapsedImageError("image is not a curve"), 0,
+     "result: collapsed\nmessage: image is not a curve\n"),
+    (HypothesisViolationError("f must be disintegrated"), 2,
+     "error: input\nmessage: f must be disintegrated\n"),
+    (BadReductionError("4 is not an odd prime"), 2,
+     "error: input\nmessage: 4 is not an odd prime\n"),
+    (ValueError("zero polynomial has every root"), 2,
+     "error: input\nmessage: zero polynomial has every root\n"),
+]
+
+
+@pytest.mark.parametrize("exc, code, tail", OUTCOME_CASES, ids=[
+    "parse-position", "parse", "resource-cap", "field-extension", "collapsed",
+    "hypothesis", "bad-reduction", "value-error"])
+def test_each_error_class_ends_in_its_outcome(monkeypatch, capsys, exc, code,
+                                              tail):
+    def raising(args, field, doc):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_classify", raising)
+    assert cli.run_command(["classify", "--f", "x^2"]) == code
+    assert capsys.readouterr().out == "command: classify\n" + tail

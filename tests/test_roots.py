@@ -1,7 +1,9 @@
 import io
 from contextlib import redirect_stdout
 from fractions import Fraction
+from math import isqrt
 
+import pytest
 import sympy
 from conftest import rng_for
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 from rittkit import QQ, Poly, cyclotomic_field, in_field_roots
 from rittkit.cli import run_command
 from rittkit.field import roots_of_unity
-from rittkit.roots import rational_roots
+from rittkit.errors import ResourceCapError
+from rittkit.roots import PRIME_TEST_BOUND, is_prime, rational_roots
 
 
 def test_rational_roots_examples():
@@ -114,3 +117,18 @@ def test_in_field_roots_finds_planted_unity_scaled(case):
     found = in_field_roots(F)
     assert all(r in found for r in planted)
     assert all(not F.evaluate(r) for r in found)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 10 ** 5):
+        expected = n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+        assert is_prime(n) == expected, n
+
+
+def test_is_prime_beyond_the_first_four_bases():
+    # a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not is_prime(3215031751)
+    # the largest prime below the bound
+    assert is_prime(10 ** 18 + 3) and is_prime(PRIME_TEST_BOUND - 20)
+    with pytest.raises(ResourceCapError, match="PRIME_TEST_BOUND"):
+        is_prime(PRIME_TEST_BOUND)
