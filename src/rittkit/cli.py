@@ -252,7 +252,7 @@ def _cmd_return_set_modp(args, field, doc):
     if not args.primes:
         raise ParseError("need at least one prime")
     inter = None
-    for p in sorted(args.primes):
+    for p in sorted(set(args.primes)):
         hits = dml.return_set_modp(args.f1, args.f2, args.alpha, args.curve,
                                    p, args.n)
         doc.add(f"mod_{p}", ",".join(str(i) for i in hits) or "empty")

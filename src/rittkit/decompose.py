@@ -4,7 +4,10 @@ Right/left factor solvers, complete decomposition chains, the
 gcd-degree common-factor refinement for a o b = c o d, and the
 splitting of x^s P(x)^n compositions.  Right factors are read off one
 power-series root of F's top coefficients (poly.series_root), left
-factors off the h-adic digits of F; a full composition verifies both.
+factors off the h-adic digits of F (field.dense_digits); a full
+composition verifies both.  Over Q both kernels run on integers: the
+root by one integer recurrence with a proven denominator, the digits by
+one chain of integer pseudo-divisions over one running denominator.
 """
 
 from __future__ import annotations
@@ -13,9 +16,8 @@ from math import gcd
 
 from .errors import (FieldExtensionRequiredError, HypothesisViolationError,
                      ResourceCapError, RittKitError)
-from .field import nth_roots, scalar_sort_key
-from .poly import (LinearPoly, Poly, _top_root, compose, poly_divmod,
-                   power_form)
+from .field import dense_digits, nth_roots, scalar_sort_key
+from .poly import LinearPoly, Poly, _top_root, compose, power_form
 from .record import Record
 
 DECOMP_DEGREE_CAP = 64
@@ -55,21 +57,18 @@ def left_factor_solve(F: Poly, h: Poly) -> Poly | None:
     """The unique g with F = g o h, or None.
 
     Reads g's coefficients off the h-adic digits of F (von zur Gathen
-    1990): each remainder of the repeated division by h must be constant,
-    so the first one that is not ends the search.
+    1990, field.dense_digits): each remainder of the repeated division by
+    h must be constant, so the first one that is not ends the search.
     """
     if h.degree < 1:
         raise RittKitError("right factor must be nonconstant")
     if F.degree < 1 or F.degree % h.degree:
         return None
-    digits = []
-    R = F
-    for _ in range(F.degree // h.degree):
-        R, r = poly_divmod(R, h)
-        if not r.is_constant():
-            return None
-        digits.append(r.constant_term())
-    g = Poly.make(F.field, digits + [R.constant_term()])
+    F._check(h)
+    digits = dense_digits(F.coeffs, h.coeffs)
+    if digits is None:
+        return None
+    g = Poly.make(F.field, digits)
     return g if compose(g, h) == F else None
 
 

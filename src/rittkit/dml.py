@@ -11,13 +11,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bivar import BivarCurve
-from .errors import BadReductionError, RittKitError
+from .errors import BadReductionError, ResourceCapError, RittKitError
 from .field import scalar_abs
 from .poly import Poly
 from .record import Record
 from .roots import _horner, is_prime
 
 DEFAULT_HEIGHT_CAP = 4096
+
+# Largest (N + 1) * (terms of F1, F2 and C) in return_set_modp: each orbit
+# step reduces one Horner term per coefficient.  At the cap the slowest
+# shape measured, x^2 with the line y - x (10 terms, N = 99,999), takes
+# about 0.3 s per prime; N = 10^6 took 2.6 s and printed a 7 MB line.
+MODP_WORK_CAP = 1_000_000
 
 
 def _height_bits(v) -> int:
@@ -109,6 +115,11 @@ def return_set_modp(F1: Poly, F2: Poly, alpha: tuple, C: BivarCurve,
              for i in range(C.deg_x + 1)] for j in range(C.deg_y + 1)]
     if all(c == 0 for row in grid for c in row):
         raise BadReductionError(f"curve polynomial vanishes mod {p}")
+    terms = len(f1) + len(f2) + sum(map(len, grid))
+    if (N + 1) * terms > MODP_WORK_CAP:
+        raise ResourceCapError(
+            f"N = {N}: (N + 1)*{terms} Horner terms exceeds cap "
+            f"{MODP_WORK_CAP}")
     x0 = _reduce_scalar(alpha[0], p, "alpha")
     y0 = _reduce_scalar(alpha[1], p, "alpha")
     hits = []

@@ -128,6 +128,40 @@ def dense_divmod(a, b) -> tuple:
     return q, rem[:db]
 
 
+def dense_digits(a, b) -> list | None:
+    """The constant b-adic digits of a, lowest first, or None.
+
+    a = d_0 + d_1*b + ... + d_e*b^e with e = deg a / deg b (deg b >= 1
+    divides deg a) and every d_j a scalar, read off the remainders of the
+    repeated division by b (von zur Gathen 1990); the first remainder that
+    is not constant ends the search.  Over Q the chain runs on integers:
+    with b = B/den_b, a = sum G_j*B^j for G_j = d_j/den_b^j, and each
+    int_pseudo_divmod step f*A = A'*B + r keeps one running denominator,
+    so each digit is one Fraction at the end.
+    """
+    db = len(b) - 1
+    e = (len(a) - 1) // db
+    if type(b[-1]) is not Fraction:
+        digits = []
+        for _ in range(e):
+            a, r = dense_divmod(a, b)
+            if any(r[1:]):
+                return None
+            digits.append(r[0])
+        return digits + [a[0]]
+    A, den = int_vector(a)
+    B, den_b = int_vector(b)
+    nums = []
+    for _ in range(e):
+        f, A, r = int_pseudo_divmod(A, B)
+        if len(r) > 1:
+            return None
+        den *= f
+        nums.append((r[0] if r else 0, den))
+    nums.append((A[0], den))
+    return [Fraction(c * den_b ** j, d) for j, (c, d) in enumerate(nums)]
+
+
 def _int_long_division(r, b) -> tuple:
     """Divide the integer list r by b in place: (quotient terms, scales).
 

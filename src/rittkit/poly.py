@@ -64,9 +64,6 @@ class Poly(Record):
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
     def leading(self):
         if not self.coeffs:
             raise RittKitError("zero polynomial has no leading coefficient")
@@ -436,11 +433,28 @@ def series_root(top: list, n: int, terms: int) -> list:
     """The first `terms` coefficients of Q^(1/n), Q = top[0] + top[1]*x + ...
 
     Needs Q_0 = 1, so that P_0 = 1 picks the root.  J. C. P. Miller's
-    recurrence k*P_k = sum_{i=1..k} ((1/n + 1)*i - k)*Q_i*P_(k-i) costs
+    recurrence n*k*P_k = sum_{i=1..k} ((n + 1)*i - n*k)*Q_i*P_(k-i) costs
     O(terms^2) field operations (Knuth, TAOCP vol. 2, 4.7).  The weights
     are integers over n*k, so the one division per term is a product by a
     Fraction, never a field inverse.
+
+    Over Q the recurrence runs on integers, one Fraction per output term.
+    Write Q = T/D with integers T_i and T_0 = D.  Then p_k = (n^2*D)^k*P_k
+    is an integer, and multiplying the recurrence by (n^2*D)^k/n gives
+
+        k*p_k = sum_{i=1..k} ((n + 1)*i - n*k)*T_i*n^(2i-1)*D^(i-1)*p_(k-i),
+
+    so the division by k is exact.  Proof that p_k is an integer: with
+    u = Q - 1, P = sum_j binom(1/n, j)*u^j; D^j times the x^k term of u^j
+    is an integer, zero for j > k.  So p_k is a sum of integers times
+    b_j = binom(1/n, j)*n^(2j) = n^j*prod_{i<j}(1 - n*i)/j!, and b_j is an
+    integer.  At a prime p not dividing n, binom(1/n, j) is a p-adic
+    integer: 1/n is one, and binom(., j) maps Z into Z and so, by
+    continuity, Z_p into Z_p.  At p | n, prod(1 - n*i) is a unit at p and
+    v_p(j!) < j <= j*v_p(n), so v_p(b_j) > 0.
     """
+    if type(top[0]) is Fraction and terms > 1:
+        return _int_series_root(top[:terms], n, terms)
     nonzero = [(i, q) for i, q in enumerate(top[1:terms], 1) if q]
     out = [top[0]]
     zero = top[0] * 0
@@ -453,6 +467,33 @@ def series_root(top: list, n: int, terms: int) -> list:
             if w:
                 acc = acc + q * out[k - i] * w
         out.append(acc * Fraction(1, n * k))
+    return out
+
+
+def _int_series_root(top: list, n: int, terms: int) -> list:
+    """series_root over Q by the integer recurrence of its docstring."""
+    T, D = int_vector(top)
+    nonzero, c = [], n
+    for i, t in enumerate(T[1:], 1):     # c = n^(2i-1)*D^(i-1)
+        if t:
+            nonzero.append((i, t * c))
+        c *= n * n * D
+    p, out, scale, step = [1], [Fraction(1)], 1, n * n * D
+    for k in range(1, terms):
+        acc = 0
+        for i, t in nonzero:
+            if i > k:
+                break
+            w = (n + 1) * i - n * k
+            if w:
+                acc += w * t * p[k - i]
+        pk, rem = divmod(acc, k)
+        if rem:
+            raise RittKitError(f"internal: series_root term {k} is not "
+                               "an integer")
+        p.append(pk)
+        scale *= step
+        out.append(Fraction(pk, scale))
     return out
 
 

@@ -170,7 +170,7 @@ def power_reference(f: Poly):
     d = f.degree
     t = f.coeff(d - 1) / (d * f.leading())
     diff = f - (Poly.make(f.field, [t, 1]) ** d).scale(f.leading())
-    return (t, diff.constant_term()) if diff.is_constant() else None
+    return (t, diff.constant_term()) if diff.degree <= 0 else None
 
 
 @KERNEL

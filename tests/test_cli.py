@@ -15,6 +15,7 @@ from conftest import random_poly, rng_for
 import rittkit
 from rittkit import QQ, BivarPoly, Poly, cyclotomic_field, parse_bivar, parse_poly
 from rittkit.cli import _commands, run_command
+from rittkit.dml import MODP_WORK_CAP
 from rittkit.errors import ParseError, ResourceCapError
 from rittkit.parser import MAX_NESTING, POWER_BITS_CAP, POWER_SIZE_CAP
 from rittkit.poly import DEGREE_CAP
@@ -128,6 +129,27 @@ def test_return_set_modp_primes_list():
                      "--n", "3", "--primes", "5,7"])
     assert code == 0
     assert "intersection" in out
+
+
+def test_return_set_modp_repeated_prime_prints_once():
+    code, out = run(["return-set-modp", "--f1", "x^2", "--f2", "x^2",
+                     "--alpha", "2,3", "--curve", "y - x",
+                     "--n", "10", "--primes", "5,5"])
+    assert (code, out) == (0, "command: return-set-modp\n"
+                               "mod_5: 1,2,3,4,5,6,7,8,9,10\n"
+                               "intersection: 1,2,3,4,5,6,7,8,9,10\n")
+
+
+def test_return_set_modp_n_above_the_work_cap_exits_3():
+    # x^2, x^2 and y - x reduce 3 + 3 + 4 Horner terms per orbit step
+    n = MODP_WORK_CAP // 10
+    code, out = run(["return-set-modp", "--f1", "x^2", "--f2", "x^2",
+                     "--alpha", "2,3", "--curve", "y - x",
+                     "--n", str(n), "--primes", "5"])
+    assert (code, out) == (3, "command: return-set-modp\n"
+                              "error: resource-cap\n"
+                              f"message: N = {n}: (N + 1)*10 Horner terms "
+                              f"exceeds cap {MODP_WORK_CAP}\n")
 
 
 def test_preperiodic_command():

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from conftest import rng_for
 
-from rittkit import (QQ, BadReductionError, Poly, Progression, orbit,
+from rittkit import (QQ, BadReductionError, Poly, Progression, dml, orbit,
                      parse_curve, preperiodic_check, progression_decompose,
                      return_set_exact, return_set_modp)
+from rittkit.errors import ResourceCapError
 
 X = Poly.x(QQ)
 
@@ -86,6 +87,19 @@ def test_return_set_modp_bad_reduction():
     with pytest.raises(BadReductionError):
         return_set_modp(P(0, 0, 5), sq, (Fraction(1), Fraction(1)),
                         diag, 5, 4)
+
+
+def test_return_set_modp_work_cap_boundary(monkeypatch):
+    sq = Poly.monomial(QQ, 2)
+    diag = parse_curve("y - x")
+    alpha = (Fraction(2), Fraction(3))
+    with pytest.raises(ResourceCapError):
+        return_set_modp(sq, sq, alpha, diag, 5, dml.MODP_WORK_CAP // 10)
+    # 10 Horner terms per step: N = 9 is exactly at a cap of 100
+    monkeypatch.setattr(dml, "MODP_WORK_CAP", 100)
+    assert return_set_modp(sq, sq, alpha, diag, 5, 9) == tuple(range(1, 10))
+    with pytest.raises(ResourceCapError):
+        return_set_modp(sq, sq, alpha, diag, 5, 10)
 
 
 def test_progression_members():
