@@ -13,7 +13,8 @@ from .decompose import (DecompositionChain, EngstromCertificate,
                         right_factor_solve, verify_power_form)
 from .dml import (EscapeCertificate, Orbit, OrbitPoint, PreperiodicResult,
                   Progression, ReturnSet, orbit, preperiodic_check,
-                  progression_decompose, return_set_exact, return_set_modp)
+                  progression_decompose, return_set_exact, return_set_modp,
+                  return_sets_modp)
 from .errors import (BadReductionError, CollapsedImageError,
                      FieldExtensionRequiredError, FieldMismatchError,
                      HypothesisViolationError, ParseError, ResourceCapError,

@@ -252,9 +252,9 @@ def _cmd_return_set_modp(args, field, doc):
     if not args.primes:
         raise ParseError("need at least one prime")
     inter = None
-    for p in sorted(set(args.primes)):
-        hits = dml.return_set_modp(args.f1, args.f2, args.alpha, args.curve,
-                                   p, args.n)
+    for p, hits in dml.return_sets_modp(args.f1, args.f2, args.alpha,
+                                        args.curve, args.primes,
+                                        args.n).items():
         doc.add(f"mod_{p}", ",".join(str(i) for i in hits) or "empty")
         inter = set(hits) if inter is None else inter & set(hits)
     doc.add("intersection",

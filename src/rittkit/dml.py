@@ -19,10 +19,11 @@ from .roots import _horner, is_prime
 
 DEFAULT_HEIGHT_CAP = 4096
 
-# Largest (N + 1) * (terms of F1, F2 and C) in return_set_modp: each orbit
-# step reduces one Horner term per coefficient.  At the cap the slowest
-# shape measured, x^2 with the line y - x (10 terms, N = 99,999), takes
-# about 0.3 s per prime; N = 10^6 took 2.6 s and printed a 7 MB line.
+# Largest (N + 1) * (terms of F1, F2 and C) in return_set_modp, and that
+# times the number of distinct primes in return_sets_modp: each orbit step
+# reduces one Horner term per coefficient.  At the cap the slowest shape
+# measured, x^2 with the line y - x (10 terms, N = 99,999), takes about
+# 0.3 s; N = 10^6 took 2.6 s and printed a 7 MB line.
 MODP_WORK_CAP = 1_000_000
 
 
@@ -115,11 +116,7 @@ def return_set_modp(F1: Poly, F2: Poly, alpha: tuple, C: BivarCurve,
              for i in range(C.deg_x + 1)] for j in range(C.deg_y + 1)]
     if all(c == 0 for row in grid for c in row):
         raise BadReductionError(f"curve polynomial vanishes mod {p}")
-    terms = len(f1) + len(f2) + sum(map(len, grid))
-    if (N + 1) * terms > MODP_WORK_CAP:
-        raise ResourceCapError(
-            f"N = {N}: (N + 1)*{terms} Horner terms exceeds cap "
-            f"{MODP_WORK_CAP}")
+    _check_modp_work(F1, F2, C, N, 1)
     x0 = _reduce_scalar(alpha[0], p, "alpha")
     y0 = _reduce_scalar(alpha[1], p, "alpha")
     hits = []
@@ -134,6 +131,27 @@ def return_set_modp(F1: Poly, F2: Poly, alpha: tuple, C: BivarCurve,
         if n < N:
             x0, y0 = _horner(f1, x0, p), _horner(f2, y0, p)
     return tuple(hits)
+
+
+def return_sets_modp(F1: Poly, F2: Poly, alpha: tuple, C: BivarCurve,
+                     primes, N: int) -> dict:
+    """{p: return_set_modp(F1, F2, alpha, C, p, N)} over the distinct
+    primes in ascending order; MODP_WORK_CAP bounds the whole call."""
+    primes = sorted(set(primes))
+    _check_modp_work(F1, F2, C, N, len(primes))
+    return {p: return_set_modp(F1, F2, alpha, C, p, N) for p in primes}
+
+
+def _check_modp_work(F1: Poly, F2: Poly, C: BivarCurve, N: int,
+                     primes: int):
+    """Refuse more than MODP_WORK_CAP Horner terms: each orbit step mod
+    each prime reduces every coefficient of F1, F2 and C once."""
+    terms = len(F1.coeffs) + len(F2.coeffs) + (C.deg_x + 1) * (C.deg_y + 1)
+    if primes * (N + 1) * terms > MODP_WORK_CAP:
+        count = "" if primes == 1 else f"{primes} primes*"
+        raise ResourceCapError(
+            f"N = {N}: {count}(N + 1)*{terms} Horner terms exceeds cap "
+            f"{MODP_WORK_CAP}")
 
 
 class Progression(Record):

@@ -10,11 +10,16 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import FieldMismatchError, ResourceCapError, RittKitError
-from .field import (QQ, FieldDescriptor, dense_divmod, dense_mul, int_mul,
-                    int_pseudo_divmod, int_vector, scalar_str)
+from .field import (KRONECKER_MIN_LEN, QQ, FieldDescriptor, dense_divmod,
+                    dense_mul, int_mul, int_pseudo_divmod, int_vector,
+                    scalar_str)
 from .record import Record, slot_setters
 
 DEGREE_CAP = 10_000
+
+# Evaluation points the heuristic gcd over Q tries before it falls back to
+# the remainder sequence (see poly_gcd).
+HEU_GCD_TRIES = 6
 
 
 class Poly(Record):
@@ -323,9 +328,34 @@ def poly_divmod(a: Poly, b: Poly) -> tuple:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """The monic gcd (zero for two zeros).
 
-    Over Q by a primitive integer remainder sequence, which keeps the
-    coefficients at the size of the gcd's cofactors instead of letting
-    Euclid's Fractions swell (Collins 1971; Brown 1971).
+    Over Q it works on the primitive integer lists A and B of a and b.
+    When both have at least KRONECKER_MIN_LEN terms it first tries the
+    heuristic gcd (GCDHEU; Char, Geddes and Gonnet 1989): h =
+    gcd(A(xi), B(xi)) for one integer xi >= 2*min(|A|, |B|) + 2, |.| the
+    largest coefficient in absolute value; G the polynomial of the
+    balanced base-xi digits of h (each |G_i| <= xi/2, so G(xi) = h); and
+    P = pp(G), whose leading coefficient is positive because h is.  P is
+    accepted only when it divides both A and B (int_pseudo_divmod leaves
+    remainder zero), and then P = gcd(A, B), the theorem of Char, Geddes
+    and Gonnet with its bound on xi:
+
+    Let g = gcd(A, B), primitive.  P is a primitive common divisor, so
+    g = P*c with c in Z[x] (Gauss).  Say |A| <= |B|.  Every complex root
+    r of A has |r| < 1 + |A| <= xi/2 (Cauchy), so A(xi) != 0, and h and
+    P(xi), which divide it, are not 0.  g(xi) divides A(xi) and B(xi), so
+    g(xi) = P(xi)*c(xi) divides h = G(xi) = cont(G)*P(xi); so c(xi)
+    divides cont(G), and 0 < |cont(G)| <= |lc(G)| <= xi/2.  If
+    deg c >= 1, then c divides A, c = lc(c)*prod(x - r_j) over roots of
+    A, and |c(xi)| >= prod |xi - r_j| > (xi/2)^(deg c) >= xi/2: a
+    contradiction.  So c is a constant, and 1 as g and P are primitive
+    with positive leading coefficients.
+
+    A failed candidate moves xi on by the factor 73794/27011 (Liao and
+    Fateman 1995); after HEU_GCD_TRIES points, and for shorter inputs
+    from the start, the gcd is a primitive integer remainder sequence,
+    which keeps the coefficients at the size of the gcd's cofactors
+    instead of letting Euclid's Fractions swell (Collins 1971; Brown
+    1971).
     """
     if a.field == QQ and b.field == QQ:
         g = _int_gcd(primitive(int_vector(a.coeffs)[0]),
@@ -343,7 +373,48 @@ def primitive(ints: list) -> list:
 
 
 def _int_gcd(a: list, b: list) -> list:
-    """A gcd in Z[x] of two primitive integer lists (trimmed, ascending)."""
+    """A gcd in Z[x] of two primitive integer lists (trimmed, ascending):
+    GCDHEU, then the remainder sequence (see poly_gcd)."""
+    if min(len(a), len(b)) >= KRONECKER_MIN_LEN:
+        g = _heuristic_gcd(a, b)
+        if g is not None:
+            return g
+    return _remainder_gcd(a, b)
+
+
+def _heuristic_gcd(a: list, b: list) -> list | None:
+    """gcd(a, b) of nonzero primitive integer lists by GCDHEU (proof in
+    poly_gcd), or None when HEU_GCD_TRIES evaluation points fail."""
+    shortest = min(len(a), len(b))
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(HEU_GCD_TRIES):
+        h = gcd(_int_evaluate(a, xi), _int_evaluate(b, xi))
+        digits = []
+        while h:
+            d = h % xi
+            if d > xi // 2:
+                d -= xi
+            digits.append(d)
+            h = (h - d) // xi
+        if len(digits) <= shortest:
+            cand = primitive(digits)
+            if not (int_pseudo_divmod(a, cand)[2]
+                    or int_pseudo_divmod(b, cand)[2]):
+                return cand
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _int_evaluate(ints: list, xi: int) -> int:
+    acc = 0
+    for c in reversed(ints):
+        acc = acc * xi + c
+    return acc
+
+
+def _remainder_gcd(a: list, b: list) -> list:
+    """A gcd in Z[x] of two primitive integer lists by a primitive
+    remainder sequence."""
     if len(a) < len(b):
         a, b = b, a
     while b:

@@ -19,7 +19,7 @@ from .decompose import equal_degree_linear, left_factor_solve
 from .errors import HypothesisViolationError, RittKitError
 from .field import roots_of_unity, scalar_sort_key
 from .poly import (LinearPoly, Poly, centred, compose, conjugate, deflate,
-                   iterate, poly_divmod, power_shape)
+                   iterate, power_shape)
 from .record import Record
 from .roots import in_field_roots
 
@@ -55,14 +55,30 @@ def _find_generator(elements) -> LinearPoly | None:
 
 
 def _extension_hint_order(residual: Poly, cap: int) -> int | None:
-    """Smallest m with residual dividing a^m - 1, if any up to cap."""
-    if residual.degree < 1:
+    """Smallest m <= cap with residual dividing x^m - 1, if any.
+
+    No m below n = deg(residual) works, so the walk starts at
+    r = x^n mod residual and steps r -> x*r mod residual, one shift and
+    one reduction by the monic residual per m, until r = 1.  In
+    gamma_group the residual is u^g - 1, g <= d - 1, with a linear factor
+    deflated for each symmetry found, so the walk ends by m = g after one
+    step more than there are symmetries.
+    """
+    n = residual.degree
+    if n < 1:
         return None
-    fieldK = residual.field
-    for m in range(1, cap + 1):
-        probe = Poly.monomial(fieldK, m) - Poly.constant(fieldK, 1)
-        if poly_divmod(probe, residual)[1].is_zero():
+    R = residual.monic().coeffs
+    terms = [(j, c) for j, c in enumerate(R[:n]) if c]
+    one, zero = R[n], residual.field.zero()
+    r = [-c for c in R[:n]]
+    for m in range(n, cap + 1):
+        if r[0] == one and not any(r[1:]):
             return m
+        top = r.pop()
+        r.insert(0, zero)
+        if top:
+            for j, c in terms:
+                r[j] -= top * c
     return None
 
 

@@ -19,6 +19,7 @@ from rittkit.dml import MODP_WORK_CAP
 from rittkit.errors import ParseError, ResourceCapError
 from rittkit.parser import MAX_NESTING, POWER_BITS_CAP, POWER_SIZE_CAP
 from rittkit.poly import DEGREE_CAP
+from rittkit.roots import is_prime
 
 
 def run(argv):
@@ -217,6 +218,21 @@ def test_return_set_modp_large_prime_is_fast():
                            "--primes", "1000000000000000003"])
     assert out.returncode == 0
     assert out.stdout.endswith("intersection: empty\n")
+
+
+def test_return_set_modp_long_prime_list_exits_3_quickly():
+    # MODP_WORK_CAP bounds the whole call: per prime, 1,000 primes at
+    # N = 99,999 ran for minutes (0.2 s each)
+    primes = [p for p in range(3, 8000) if is_prime(p)][:1000]
+    out = run_cli_limited(["return-set-modp", "--f1", "x^2", "--f2", "x^2",
+                           "--alpha", "2,3", "--curve", "y - x",
+                           "--n", "99999",
+                           "--primes", ",".join(map(str, primes))],
+                          limit_s=5)
+    assert (out.returncode, out.stdout) == (
+        3, "command: return-set-modp\nerror: resource-cap\n"
+           "message: N = 99999: 1000 primes*(N + 1)*10 Horner terms "
+           f"exceeds cap {MODP_WORK_CAP}\n")
 
 
 def test_huge_exponent_hits_degree_cap():

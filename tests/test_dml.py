@@ -5,7 +5,7 @@ from conftest import rng_for
 
 from rittkit import (QQ, BadReductionError, Poly, Progression, dml, orbit,
                      parse_curve, preperiodic_check, progression_decompose,
-                     return_set_exact, return_set_modp)
+                     return_set_exact, return_set_modp, return_sets_modp)
 from rittkit.errors import ResourceCapError
 
 X = Poly.x(QQ)
@@ -100,6 +100,24 @@ def test_return_set_modp_work_cap_boundary(monkeypatch):
     assert return_set_modp(sq, sq, alpha, diag, 5, 9) == tuple(range(1, 10))
     with pytest.raises(ResourceCapError):
         return_set_modp(sq, sq, alpha, diag, 5, 10)
+
+
+def test_return_sets_modp_caps_the_whole_call(monkeypatch):
+    sq = Poly.monomial(QQ, 2)
+    diag = parse_curve("y - x")
+    alpha = (Fraction(2), Fraction(3))
+    # 10 Horner terms per step and prime: two primes at N = 4 are exactly
+    # at a cap of 100, and a repeated prime counts once
+    monkeypatch.setattr(dml, "MODP_WORK_CAP", 100)
+    sets = return_sets_modp(sq, sq, alpha, diag, [7, 5, 7], 4)
+    assert sets == {5: (1, 2, 3, 4), 7: ()}
+    assert list(sets) == [5, 7]
+    with pytest.raises(ResourceCapError, match=r"^N = 5: 2 primes\*\(N \+ 1\)"
+                       r"\*10 Horner terms exceeds cap 100$"):
+        return_sets_modp(sq, sq, alpha, diag, [5, 7], 5)
+    # one prime: the message of return_set_modp
+    with pytest.raises(ResourceCapError, match=r"^N = 10: \(N \+ 1\)\*10 "):
+        return_sets_modp(sq, sq, alpha, diag, [5], 10)
 
 
 def test_progression_members():
