@@ -13,7 +13,7 @@ from math import gcd
 
 from .errors import FieldMismatchError, RittKitError
 from .field import (QQ, FieldDescriptor, dense_mul, int_pseudo_divmod,
-                    int_vector)
+                    int_vector, signed_join)
 from .poly import Poly, exact_div, poly_divmod, poly_gcd, squarefree_part
 from .record import Record, slot_setters
 
@@ -209,8 +209,6 @@ class BivarPoly(Record):
         return _row_gcd(self.field, self.rows)
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
         parts = []
         for j in range(len(self.rows) - 1, -1, -1):
             r = self.rows[j]
@@ -228,10 +226,7 @@ class BivarPoly(Record):
                     parts.append(f"-{yp}")
                 else:
                     parts.append(f"({rs})*{yp}" if wrap else f"{rs}*{yp}")
-        out = parts[0]
-        for t in parts[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return signed_join(parts)
 
 
 _set_field, _set_rows = slot_setters(BivarPoly)

@@ -6,19 +6,18 @@ no translation part, so each solve is the monic gcd of binomials in one
 scale (`_binomial_gcd`).  A conjugacy to the centred x^d, T_d or -T_d is
 a scaling a*x (`_conj_scales`): f is conjugate over the closure iff the
 gcd has a root, and the witness is its largest in-field root, verified.
-`_scale_polynomial` does the same for L2 o f o L1 = g.  Cyclic/dihedral
-status is a coefficient test on the same centred form.  A missing
-in-field witness is a hint, not an error, so classification completes.
+`_scale_polynomial` does the same for L2 o f o L1 = g, and any nonzero
+root gives both maps in closed form (`_scale_maps`); nothing composes.
+Cyclic/dihedral status is a coefficient test on the same centred form.
+A missing in-field witness is a hint, so classification completes.
 """
 
 from __future__ import annotations
 
 
-from .decompose import left_factor_solve
 from .errors import RittKitError
 from .field import scalar_sort_key
-from .poly import (LinearPoly, Poly, centred, chebyshev, compose, conjugate,
-                   poly_gcd)
+from .poly import LinearPoly, Poly, centred, chebyshev, poly_gcd
 from .record import Record
 from .roots import in_field_roots
 
@@ -61,16 +60,21 @@ def _conj_witness(f: Poly, s, F: Poly, H: Poly):
 
     (s, F) is centred(f); ell = a*(x + s) for the largest in-field root a
     of _conj_scales(F, H), or None when it has no root in the field.
+    ell o f o ell^-1 = (a*x) o F o (x/a) has coefficients F_i*a^(1-i), so
+    it is H exactly when F_i = H_i*a^(i-1) for every i >= 0 (a != 0, as
+    the equation at i = d reads F_d = H_d*a^(d-1)).
     """
     G = _conj_scales(F, H)
     roots = in_field_roots(G) if G.degree >= 1 else []
     if not roots:
         return G.degree >= 1, None
     a = max(roots, key=scalar_sort_key)
-    ell = LinearPoly.make(f.field, a, a * s)
-    if conjugate(ell, f) != H:
-        raise RittKitError("conjugacy witness failed verification")
-    return True, ell
+    power = 1 / a                       # a^(i-1) at F_i
+    for Fi, Hi in zip(F.coeffs, H.coeffs):
+        if Fi != Hi * power:
+            raise RittKitError("conjugacy witness failed verification")
+        power *= a
+    return True, LinearPoly.make(f.field, a, a * s)
 
 
 def classify(f: Poly) -> ShapeReport:
@@ -119,21 +123,37 @@ def _scale_polynomial(f: Poly, g: Poly):
     return G, Poly.make(f.field, [-s, t])
 
 
+def _scale_maps(f: Poly, g: Poly, v: Poly, u) -> tuple:
+    """(L1, M) with f o L1 = M o g, for (G, v) = _scale_polynomial(f, g)
+    and u a nonzero root of G (any u when G is zero).
+
+    L1 = u*x + v(u) maps -t to -s.  u satisfies every equation of G, and
+    F_(d-1) = H_(d-1) = 0, so F(u*x) - F_0 = c*(H - H_0) with
+    c = f_d*u^d/g_d.  As f o L1 = F(u*(x + t)) - s and g = H(x + t) - t,
+    f o L1 = f(-s) + c*(g - g(-t)): M = f(-s) + c*(y - g(-t)), read off
+    with two Horner evaluations and no composition.
+    """
+    s, t = -v.coeff(0), v.coeff(1)
+    c = f.leading() * u ** f.degree / g.leading()
+    return (LinearPoly.make(f.field, u, v.evaluate(u)),
+            LinearPoly.make(f.field, c, f.evaluate(-s) - c * g.evaluate(-t)))
+
+
 def equivalence_witness(f: Poly, g: Poly):
-    """(L1, L2) with L2 o f o L1 = g, or None."""
+    """(L1, L2) with L2 o f o L1 = g, or None: L2 = g o f^-1 in degree 1.
+
+    Above it any nonzero root u of G (u = 1 when G is zero) gives L1 and
+    L2 = M^-1 by _scale_maps: None means G has no nonzero in-field root.
+    """
     if f.degree != g.degree or f.degree < 1:
         raise RittKitError("equivalence needs equal degrees >= 1")
-    fieldK = f.field
     if f.degree == 1:
-        return (LinearPoly.identity(fieldK),
-                LinearPoly.from_poly(left_factor_solve(g, f)))
+        return (LinearPoly.identity(f.field), LinearPoly.from_poly(g).after(
+            LinearPoly.from_poly(f).inverse()))
     G, v = _scale_polynomial(f, g)
-    one = fieldK.one()
-    for u in (one, -one) if G.is_zero() else in_field_roots(G):
-        if not u:
-            continue
-        L1 = LinearPoly.make(fieldK, u, v.evaluate(u))
-        L2 = left_factor_solve(g, compose(f, L1.to_poly()))
-        if L2 is not None:
-            return L1, LinearPoly.from_poly(L2)
-    return None
+    roots = [f.field.one()] if G.is_zero() else [
+        u for u in in_field_roots(G) if u]
+    if not roots:
+        return None
+    L1, M = _scale_maps(f, g, v, roots[0])
+    return L1, M.inverse()

@@ -12,10 +12,10 @@ from fractions import Fraction
 
 from .bivar import BivarCurve
 from .errors import BadReductionError, ResourceCapError, RittKitError
-from .field import scalar_abs
+from .field import int_horner, scalar_abs
 from .poly import Poly
 from .record import Record
-from .roots import _horner, is_prime
+from .roots import is_prime
 
 DEFAULT_HEIGHT_CAP = 4096
 
@@ -124,12 +124,12 @@ def return_set_modp(F1: Poly, F2: Poly, alpha: tuple, C: BivarCurve,
         val = 0
         ypow = 1
         for row in grid:
-            val = (val + ypow * _horner(row, x0, p)) % p
+            val = (val + ypow * int_horner(row, x0, p)) % p
             ypow = ypow * y0 % p
         if val == 0:
             hits.append(n)
         if n < N:
-            x0, y0 = _horner(f1, x0, p), _horner(f2, y0, p)
+            x0, y0 = int_horner(f1, x0, p), int_horner(f2, y0, p)
     return tuple(hits)
 
 

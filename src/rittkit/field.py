@@ -210,6 +210,14 @@ def int_pseudo_divmod(a, b) -> tuple:
     return f, q[::-1], _trim(r)
 
 
+def int_horner(ints: list, v: int, mod: int = 0) -> int:
+    """The value at v of an integer polynomial, reduced mod `mod` if given."""
+    acc = 0
+    for c in reversed(ints):
+        acc = (acc * v + c) % mod if mod else acc * v + c
+    return acc
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple:
     """Integer coefficients (ascending) of the m-th cyclotomic polynomial."""
@@ -540,11 +548,14 @@ def scalar_str(v) -> str:
                 parts.append(f"-{zp}")
             else:
                 parts.append(f"{c}*{zp}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return signed_join(parts)
+
+
+def signed_join(terms: list) -> str:
+    """The terms as a sum ("0" for none), " - " replacing a term's "-"."""
+    out = terms[0] if terms else "0"
+    for t in terms[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
     return out
 
 

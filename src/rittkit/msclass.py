@@ -21,7 +21,7 @@ from .errors import (CollapsedImageError, HypothesisViolationError,
                      FieldExtensionRequiredError, ResourceCapError,
                      RittKitError)
 from .field import _int_nth_root, scalar_sort_key
-from .poly import Poly, compose, iterate
+from .poly import Poly, compose
 from .record import Record
 from .semiconj import solve_intertwiner
 from .symmetry import commutes_with_iterate, m_infinity
@@ -287,9 +287,9 @@ def periodic_graph_search(f: Poly, g: Poly, deg_cap: int,
         return []
     out = []
     seen = set()
+    FN = GN = Poly.x(f.field)
     for N in range(1, N_max + 1):
-        FN = iterate(f, N)
-        GN = iterate(g, N)
+        FN, GN = compose(f, FN), compose(g, GN)
         for left, right, orientation in ((GN, FN, "y"), (FN, GN, "x")):
             try:
                 hs = solve_intertwiner(left, right, deg_cap)

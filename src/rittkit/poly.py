@@ -11,8 +11,8 @@ from math import gcd
 
 from .errors import FieldMismatchError, ResourceCapError, RittKitError
 from .field import (KRONECKER_MIN_LEN, QQ, FieldDescriptor, dense_divmod,
-                    dense_mul, int_mul, int_pseudo_divmod, int_vector,
-                    scalar_str)
+                    dense_mul, int_horner, int_mul, int_pseudo_divmod,
+                    int_vector, scalar_str, signed_join)
 from .record import Record, slot_setters
 
 DEGREE_CAP = 10_000
@@ -160,8 +160,6 @@ class Poly(Record):
         return self.scale(1 / self.leading())
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         parts = []
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
@@ -182,10 +180,7 @@ class Poly(Record):
                 else:
                     term = f"{cs}*{xp}"
             parts.append(term)
-        out = parts[0]
-        for t in parts[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return signed_join(parts)
 
     def __repr__(self):
         return f"Poly({self})"
@@ -328,8 +323,10 @@ def poly_divmod(a: Poly, b: Poly) -> tuple:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """The monic gcd (zero for two zeros).
 
-    Over Q it works on the primitive integer lists A and B of a and b.
-    When both have at least KRONECKER_MIN_LEN terms it first tries the
+    Over Q it works on the primitive integer lists of a and b, nonzero
+    ones with their powers x^k and x^j divided out, A and B, and returns
+    x^min(k, j)*gcd(A, B): x is prime in Z[x] and divides neither A nor
+    B.  When both have at least KRONECKER_MIN_LEN terms it first tries the
     heuristic gcd (GCDHEU; Char, Geddes and Gonnet 1989): h =
     gcd(A(xi), B(xi)) for one integer xi >= 2*min(|A|, |B|) + 2, |.| the
     largest coefficient in absolute value; G the polynomial of the
@@ -374,12 +371,14 @@ def primitive(ints: list) -> list:
 
 def _int_gcd(a: list, b: list) -> list:
     """A gcd in Z[x] of two primitive integer lists (trimmed, ascending):
-    GCDHEU, then the remainder sequence (see poly_gcd)."""
-    if min(len(a), len(b)) >= KRONECKER_MIN_LEN:
-        g = _heuristic_gcd(a, b)
-        if g is not None:
-            return g
-    return _remainder_gcd(a, b)
+    the shared power of x, then GCDHEU or remainders (see poly_gcd)."""
+    if not (a and b):
+        return a or b
+    k, j = (next(i for i, c in enumerate(v) if c) for v in (a, b))
+    a, b = a[k:], b[j:]
+    g = (_heuristic_gcd(a, b) if min(len(a), len(b)) >= KRONECKER_MIN_LEN
+         else None)
+    return [0] * min(k, j) + (_remainder_gcd(a, b) if g is None else g)
 
 
 def _heuristic_gcd(a: list, b: list) -> list | None:
@@ -388,7 +387,7 @@ def _heuristic_gcd(a: list, b: list) -> list | None:
     shortest = min(len(a), len(b))
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
     for _ in range(HEU_GCD_TRIES):
-        h = gcd(_int_evaluate(a, xi), _int_evaluate(b, xi))
+        h = gcd(int_horner(a, xi), int_horner(b, xi))
         digits = []
         while h:
             d = h % xi
@@ -403,13 +402,6 @@ def _heuristic_gcd(a: list, b: list) -> list | None:
                 return cand
         xi = xi * 73794 // 27011
     return None
-
-
-def _int_evaluate(ints: list, xi: int) -> int:
-    acc = 0
-    for c in reversed(ints):
-        acc = acc * xi + c
-    return acc
 
 
 def _remainder_gcd(a: list, b: list) -> list:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ResourceCapError
-from .field import (CYCLOTOMIC, QQ, int_vector, nth_roots, roots_of_unity,
-                    scalar_sort_key)
+from .field import (CYCLOTOMIC, QQ, int_horner, int_vector, nth_roots,
+                    roots_of_unity, scalar_sort_key)
 from .poly import Poly, deflate, poly_gcd, primitive, squarefree_part
 
 
@@ -44,30 +44,20 @@ def rational_roots(coeffs) -> list:
     p = 2
     while True:
         if a % p:
-            found = [r for r in range(p) if not _horner(G, r, p)]
-            if all(_horner(dG, r, p) for r in found):
+            found = [r for r in range(p) if not int_horner(G, r, p)]
+            if all(int_horner(dG, r, p) for r in found):
                 break
         p = _next_prime(p)
     for r in found:
         mod = p
         while mod <= bound:
             mod *= mod
-            r = (r - _horner(G, r, mod) * pow(_horner(dG, r, mod), -1, mod)
-                 ) % mod
+            r = (r - int_horner(G, r, mod)
+                 * pow(int_horner(dG, r, mod), -1, mod)) % mod
         z = r - mod if 2 * r > mod else r
-        if not _horner(G, z):
+        if not int_horner(G, z):
             roots.append(Fraction(z, a))
     return sorted(roots)
-
-
-def _horner(ints: list, v: int, mod: int = 0) -> int:
-    """The value at v of an integer polynomial, reduced mod `mod` if given."""
-    acc = 0
-    for c in reversed(ints):
-        acc = acc * v + c
-        if mod:
-            acc %= mod
-    return acc
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

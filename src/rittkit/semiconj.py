@@ -242,10 +242,10 @@ def common_semiconjugate(f: Poly, g: Poly,
         raise RittKitError("need equal degrees >= 2")
     if not classify(f).disintegrated or not classify(g).disintegrated:
         raise HypothesisViolationError("both inputs must be disintegrated")
-    x = Poly.x(f.field)
+    x = fN = gN = Poly.x(f.field)
     for N in range(1, N_max + 1):
         try:
-            fN, gN = iterate(f, N), iterate(g, N)
+            fN, gN = compose(f, fN), compose(g, gN)
         except ResourceCapError:
             break
         # A route (F, eta, other, flip) solves F o s = s o eta and pairs s
@@ -310,7 +310,7 @@ def approx_classes(fs, N_max: int = DEFAULT_N_MAX,
     reps = {}
     for root, members in groups.items():
         first = members[0]
-        theta = iterate(fs[first], 1)
+        theta = fs[first]
         N = 1
         witnesses = {first: Poly.x(fs[first].field)}
         for other in members[1:]:

@@ -2,10 +2,10 @@
 
 Gamma(A) collects the linear ell with A o ell = L o A for some linear L;
 M(f^inf) collects the linear maps commuting with some iterate of f.
-`gamma_group` reads the scales of ell as in-field roots of one gcd of
-binomials from `conjugacy`, and the translation part of ell is a forced
-linear function of its scale; `power_normal_form` straightens A to
-x^s P(x^n) with n = |Gamma(A)|.  `m_infinity` and `common_commuting_iterate`
+`gamma_group` reads the scales a of ell as in-field roots of one gcd of
+binomials from `conjugacy`; ell = a*x + v(a) and L = A(-s) + a^d*(y -
+A(-s)) cost no composition (`conjugacy._scale_maps`).
+`power_normal_form` straightens A to x^s P(x^n) with n = |Gamma(A)|.  `m_infinity` and `common_commuting_iterate`
 build no iterate: they centre f once and walk the scales a -> a^d of the
 centred map among the roots of unity of the field (`_scale_cycles`).
 """
@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from math import lcm
 
-from .conjugacy import _scale_polynomial
-from .decompose import equal_degree_linear, left_factor_solve
+from .conjugacy import _scale_maps, _scale_polynomial
+from .decompose import equal_degree_linear
 from .errors import HypothesisViolationError, RittKitError
 from .field import roots_of_unity, scalar_sort_key
 from .poly import (LinearPoly, Poly, centred, compose, conjugate, deflate,
@@ -85,38 +85,29 @@ def _extension_hint_order(residual: Poly, cap: int) -> int | None:
 def gamma_group(A: Poly) -> LinearGroup:
     """Gamma(A): linear ell with A o ell = L o A, over the ambient field.
 
-    Infinite exactly when A is cyclic.  Elements found only in an
+    Infinite exactly when A is cyclic.  Each nonzero in-field scale a
+    gives ell and L by `_scale_maps`.  Elements found only in an
     extension are reported through extension_hint, not raised.
     """
     if A.degree < 2:
         raise RittKitError("symmetry group needs degree >= 2")
-    fieldK = A.field
-    d = A.degree
     G, v = _scale_polynomial(A, A)
     if G.is_zero():                     # A is cyclic: every scale passes
         return LinearGroup(kind=INFINITE)
-    elements, companions = [], []
-    residual = Poly(fieldK, G.coeffs[G.multiplicity_at_zero():])
+    pairs = []                          # (ell, L) with A o ell = L o A
+    residual = Poly(A.field, G.coeffs[G.multiplicity_at_zero():])
     for a in in_field_roots(residual):
-        ell = LinearPoly.make(fieldK, a, v.evaluate(a))
-        L = left_factor_solve(compose(A, ell.to_poly()), A)
-        if L is None:
-            continue
-        elements.append(ell)
-        companions.append(LinearPoly.from_poly(L))
+        pairs.append(_scale_maps(A, A, v, a))
         residual = deflate(residual, a)
-    order = sorted(range(len(elements)),
-                   key=lambda i: scalar_sort_key(elements[i].a))
-    # identity first
-    order.sort(key=lambda i: not elements[i].is_identity())
-    elements = [elements[i] for i in order]
-    companions = [companions[i] for i in order]
+    pairs.sort(key=lambda p: (not p[0].is_identity(),   # identity first
+                              scalar_sort_key(p[0].a)))
+    elements, companions = zip(*pairs)
     gen = _find_generator(elements)
     if gen is None:
         raise RittKitError("symmetry group is not cyclic (unexpected)")
-    return LinearGroup(kind=FINITE, elements=tuple(elements),
-                       companions=tuple(companions), generator=gen,
-                       extension_hint=_extension_hint_order(residual, 2 * d))
+    return LinearGroup(kind=FINITE, elements=elements, companions=companions,
+                       generator=gen, extension_hint=_extension_hint_order(
+                           residual, 2 * A.degree))
 
 
 class PowerNormalForm(Record):
@@ -262,16 +253,16 @@ def align_iterates(f: Poly, g: Poly, L: LinearPoly, n: int):
         raise HypothesisViolationError("n must be >= 1")
     if power_shape(f) is not None or power_shape(g) is not None:
         raise HypothesisViolationError("alignment needs non-cyclic inputs")
-    fieldK = f.field
-    if iterate(f, n) != compose(L.to_poly(), iterate(g, n)):
+    fk, gk = [Poly.x(f.field)], [Poly.x(f.field)]   # f^(o k), g^(o k)
+    for _ in range(n):
+        fk.append(compose(f, fk[-1]))
+        gk.append(compose(g, gk[-1]))
+    if fk[n] != compose(L.to_poly(), gk[n]):
         raise HypothesisViolationError("f^(o n) != L o g^(o n)")
     Ms = [L]
     for k in range(n, 0, -1):
-        a = f
-        b = iterate(f, k - 1)
-        c = compose(Ms[-1].to_poly(), g)
-        d = iterate(g, k - 1)
-        ell = equal_degree_linear(a, c, b, d)
+        ell = equal_degree_linear(f, compose(Ms[-1].to_poly(), g),
+                                  fk[k - 1], gk[k - 1])
         if ell is None:
             raise RittKitError(
                 "no in-field linear relating the equal-degree factors")
@@ -288,6 +279,6 @@ def align_iterates(f: Poly, g: Poly, L: LinearPoly, n: int):
     if best is None:
         raise RittKitError("no collision among the peeled linear maps")
     N, _, ell = best
-    if iterate(f, N) != iterate(conjugate(ell, g), N):
+    if fk[N] != iterate(conjugate(ell, g), N):
         raise RittKitError("alignment certificate failed verification")
     return ell, N

@@ -7,7 +7,8 @@ test on the centred form.  Each is compared here with a reference written
 out in the test without the centred form: the substitution f(u*x + v(u))
 as a polynomial in x over K[u], the commuting linear maps of each
 iterate solved from its top two coefficients, and the power
-lc(f)*(x + t)^d.
+lc(f)*(x + t)^d.  The linear maps that `gamma_group` and
+`equivalence_witness` read off the centred forms are composed back.
 """
 
 from hypothesis import given
@@ -15,10 +16,12 @@ from hypothesis import strategies as st
 from test_kernel_properties import KERNEL
 
 from rittkit import (QQ, CycElem, LinearPoly, Poly, compose, conjugate,
-                     cyclotomic_field, iterate, m_infinity, poly_gcd)
+                     cyclotomic_field, equivalence_witness, gamma_group,
+                     iterate, m_infinity, poly_gcd)
 from rittkit.conjugacy import _scale_polynomial
 from rittkit.field import roots_of_unity
 from rittkit.poly import centred, power_shape
+from rittkit.roots import in_field_roots
 
 FIELDS = [QQ, cyclotomic_field(3), cyclotomic_field(5)]
 small_q = st.fractions(min_value=-3, max_value=3, max_denominator=2)
@@ -183,3 +186,18 @@ def test_power_shape_matches_expanded_power(data, field):
     else:
         f = data.draw(polys(field, d))
     assert power_shape(f) == power_reference(f)
+
+
+@KERNEL
+@given(data=st.data(), field=st.sampled_from(FIELDS))
+def test_linear_maps_read_off_the_centred_form_compose_back(data, field):
+    f, g = data.draw(scale_pairs(field))
+    grp = gamma_group(f)
+    for ell, L in zip(grp.elements, grp.companions):
+        assert compose(f, ell.to_poly()) == compose(L.to_poly(), f)
+    wit = equivalence_witness(f, g)
+    if wit is not None:
+        L1, L2 = wit
+        assert compose(L2.to_poly(), compose(f, L1.to_poly())) == g
+    G = _scale_polynomial(f, g)[0]
+    assert (wit is None) == (bool(G) and not any(in_field_roots(G)))

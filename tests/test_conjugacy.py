@@ -121,6 +121,19 @@ def test_equivalence_witness_absent():
     assert got is not None
 
 
+def test_equivalence_witness_degree_one_over_q_zeta5():
+    K = cyclotomic_field(5)
+    z = K.zeta()
+    f = Poly.make(K, [z + 2, 3 * z ** 2])
+    g = Poly.make(K, [-z ** 3, z + Fraction(1, 2)])
+    L1, L2 = equivalence_witness(f, g)
+    assert L1.is_identity()
+    assert compose(L2.to_poly(), f) == g
+    assert L2 == LinearPoly.make(K, (z + Fraction(1, 2)) / (3 * z ** 2),
+                                 -z ** 3 - (z + Fraction(1, 2)) * (z + 2)
+                                 / (3 * z ** 2))
+
+
 def test_power_normal_form_examples():
     nf = power_normal_form(P(0, 1, 0, 1))      # x^3 + x = x * (x^2 + 1)
     assert nf is not None

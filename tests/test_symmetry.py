@@ -206,3 +206,17 @@ def test_gamma_of_a_long_binomial_ends_in_seconds():
     assert out.returncode == 0
     assert out.stdout.endswith("order: 1\nelements: \n  - x (companion x)\n"
                                "generator: x\nextension_hint: 2999\n")
+
+
+def test_gamma_over_q_zeta7_at_degree_3000_ends_in_seconds():
+    # each element and its companion cost two Horner evaluations; with
+    # the composition A o ell and a solve for L per element it took 22 s
+    src = str(Path(rittkit.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-m", "rittkit.cli", "gamma", "--field", "Q(zeta 7)",
+         "--f", "x^3000 + z*x"],
+        env=dict(os.environ, PYTHONPATH=src), timeout=10,
+        capture_output=True, text=True)
+    assert out.returncode == 0
+    assert out.stdout.endswith("order: 1\nelements: \n  - x (companion x)\n"
+                               "generator: x\nextension_hint: 2999\n")
