@@ -2,24 +2,22 @@
 
 Every linear-map solve here reads the centred forms F = f(x - s) + s of
 `poly.centred`, free of x^(d-1): the inner linear map between them has
-no translation part, so each solve is the monic gcd of binomials in one
-scale (`_binomial_gcd`).  A conjugacy to the centred x^d, T_d or -T_d is
-a scaling a*x (`_conj_scales`): f is conjugate over the closure iff the
-gcd has a root, and the witness is its largest in-field root, verified.
-`_scale_polynomial` does the same for L2 o f o L1 = g, and any nonzero
-root gives both maps in closed form (`_scale_maps`); nothing composes.
+no translation part, so each solve is a gcd u^k*(u^n - r) of binomials
+in one scale, taken on exponents (`_binomial_gcd`), whose nonzero roots
+are the n-th roots of r.  A conjugacy to the centred x^d, T_d or -T_d
+is a scaling a*x; the witness is the largest such root, verified
+(`_conj_witness`).  `_scale_polynomial` does the same for L2 o f o L1 =
+g, and any nonzero root gives both maps in closed form (`_scale_maps`).
 Cyclic/dihedral status is a coefficient test on the same centred form.
 A missing in-field witness is a hint, so classification completes.
 """
 
 from __future__ import annotations
 
-
 from .errors import RittKitError
-from .field import scalar_sort_key
-from .poly import LinearPoly, Poly, centred, chebyshev, poly_gcd
+from .field import nth_roots, scalar_sort_key
+from .poly import LinearPoly, Poly, centred, chebyshev
 from .record import Record
-from .roots import in_field_roots
 
 
 class ShapeReport(Record):
@@ -32,40 +30,62 @@ class ShapeReport(Record):
 
 
 def _binomial_gcd(fieldK, binomials) -> Poly:
-    """The monic gcd in u of the binomials c*u^i - e*u^j, for each
-    (c, i, e, j) in binomials; zero when every binomial vanishes."""
-    G = Poly(fieldK, ())
-    for c, i, e, j in binomials:
-        if c or e:
-            G = poly_gcd(G, Poly.monomial(fieldK, i, c)
-                         - Poly.monomial(fieldK, j, e))
-            if G.degree == 0:
-                break
-    return G
+    """The monic gcd u^k*(u^n - r) in u of the binomials c*u^i - e*u^j,
+    (c, i, e, j) in binomials; zero when every binomial vanishes.
 
-
-def _conj_scales(F: Poly, H: Poly) -> Poly:
-    """The monic gcd in a of the equations of (a*x) o F o (x/a) = H.
-
-    F and H are centred of one degree; the equations are F_i = H_i*a^(i-1)
-    for i >= 1 and F_0*a = H_0.  The roots are exactly the scales of the
-    conjugacies, and F ~ H over the closure iff the gcd is not constant.
+    A nonzero c*u^i - e*u^j is a unit times u^min(i,j)*(u^|i-j| - r), or
+    a monomial when c*e = 0 or i = j, which sets n = 0; u divides no
+    u^n - r with r != 0.  For a = t*b + s', u^a - r = q^t*u^s' - r mod
+    u^b - q, so gcd(u^a - r, u^b - q) = gcd(u^b - q, u^s' - r/q^t), and
+    at s' = 0 it is u^b - q if q^t = r, else 1: Euclid on exponents.
     """
-    return _binomial_gcd(F.field, [(F.coeff(0), 1, H.coeff(0), 0)] + [
-        (H.coeff(i), i - 1, F.coeff(i), 0) for i in range(1, F.degree + 1)])
+    k, n, r = None, 0, 0
+    for c, i, e, j in binomials:
+        if not (c or e) or i == j and c == e:
+            continue
+        if c and e:
+            low, b, q = min(i, j), abs(i - j), e / c if i > j else c / e
+        else:
+            low, b, q = i if c else j, 0, 0
+        if k is None:                   # it meets itself below: no change
+            k, n, r = low, b, q
+        k, n = min(k, low), n if b else 0
+        while n and b:
+            t, rem = divmod(n, b)
+            qt = q ** t
+            if rem:
+                n, r, b, q = b, q, rem, r / qt
+            else:
+                n, r, b = (b, q, 0) if qt == r else (0, 0, 0)
+        if not (k or n):
+            break
+    if k is None:
+        return Poly(fieldK, ())
+    return Poly.make(fieldK, [0] * k + [-r] * (n > 0) + [0] * (n - 1) + [1])
+
+
+def _nonzero_roots(G: Poly) -> list:
+    """The n-th roots of r in the field, G = u^k*(u^n - r) != 0: those of
+    the form q*w, all that `roots.in_field_roots` finds of a binomial, so
+    over Q(zeta_m) the roots missed are the ones `nth_roots` misses."""
+    k = G.multiplicity_at_zero()
+    n = G.degree - k
+    return nth_roots(-G.coeff(k), n, G.field) if n else []
 
 
 def _conj_witness(f: Poly, s, F: Poly, H: Poly):
     """(closure, ell): f ~ H over the closure, and a verified in-field ell.
 
-    (s, F) is centred(f); ell = a*(x + s) for the largest in-field root a
-    of _conj_scales(F, H), or None when it has no root in the field.
-    ell o f o ell^-1 = (a*x) o F o (x/a) has coefficients F_i*a^(1-i), so
-    it is H exactly when F_i = H_i*a^(i-1) for every i >= 0 (a != 0, as
-    the equation at i = d reads F_d = H_d*a^(d-1)).
+    (s, F) is centred(f), H centred of the same degree d.  The scales a of
+    the conjugacies (a*x) o F o (x/a) = H are the roots of the gcd G of
+    F_i = H_i*a^(i-1), i >= 1, and F_0*a = H_0: f ~ H over the closure
+    iff G is not constant.  ell = a*(x + s) for the largest in-field root
+    a, or None.  ell o f o ell^-1 has coefficients F_i*a^(1-i), so it is H
+    exactly when every equation holds (a != 0, as F_d = H_d*a^(d-1)).
     """
-    G = _conj_scales(F, H)
-    roots = in_field_roots(G) if G.degree >= 1 else []
+    G = _binomial_gcd(F.field, [(F.coeff(0), 1, H.coeff(0), 0)] + [
+        (H.coeff(i), i - 1, F.coeff(i), 0) for i in range(1, F.degree + 1)])
+    roots = _nonzero_roots(G)
     if not roots:
         return G.degree >= 1, None
     a = max(roots, key=scalar_sort_key)
@@ -151,9 +171,8 @@ def equivalence_witness(f: Poly, g: Poly):
         return (LinearPoly.identity(f.field), LinearPoly.from_poly(g).after(
             LinearPoly.from_poly(f).inverse()))
     G, v = _scale_polynomial(f, g)
-    roots = [f.field.one()] if G.is_zero() else [
-        u for u in in_field_roots(G) if u]
+    roots = [f.field.one()] if G.is_zero() else _nonzero_roots(G)
     if not roots:
         return None
-    L1, M = _scale_maps(f, g, v, roots[0])
+    L1, M = _scale_maps(f, g, v, min(roots, key=scalar_sort_key))
     return L1, M.inverse()

@@ -2,26 +2,26 @@
 
 Gamma(A) collects the linear ell with A o ell = L o A for some linear L;
 M(f^inf) collects the linear maps commuting with some iterate of f.
-`gamma_group` reads the scales a of ell as in-field roots of one gcd of
-binomials from `conjugacy`; ell = a*x + v(a) and L = A(-s) + a^d*(y -
-A(-s)) cost no composition (`conjugacy._scale_maps`).
-`power_normal_form` straightens A to x^s P(x^n) with n = |Gamma(A)|.  `m_infinity` and `common_commuting_iterate`
-build no iterate: they centre f once and walk the scales a -> a^d of the
-centred map among the roots of unity of the field (`_scale_cycles`).
+Both read their scales off one exponent gcd g of the centred map: they
+are the g-th roots of unity of the field (`_unity_scales`).  For Gamma(A)
+ell = a*x + v(a) and L = A(-s) + a^d*(y - A(-s)) cost no composition
+(`conjugacy._scale_maps`).  `power_normal_form` straightens A to
+x^s P(x^n) with n = |Gamma(A)|.  `m_infinity` and
+`common_commuting_iterate` build no iterate: they walk the scales
+a -> a^d of the centred map (`_scale_cycles`).
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
-from .conjugacy import _scale_maps, _scale_polynomial
+from .conjugacy import _scale_maps
 from .decompose import equal_degree_linear
 from .errors import HypothesisViolationError, RittKitError
 from .field import roots_of_unity, scalar_sort_key
-from .poly import (LinearPoly, Poly, centred, compose, conjugate, deflate,
-                   iterate, power_shape)
+from .poly import (LinearPoly, Poly, centred, compose, conjugate, iterate,
+                   power_shape)
 from .record import Record
-from .roots import in_field_roots
 
 INFINITE = "Infinite"
 FINITE = "Finite"
@@ -54,60 +54,42 @@ def _find_generator(elements) -> LinearPoly | None:
     return None
 
 
-def _extension_hint_order(residual: Poly, cap: int) -> int | None:
-    """Smallest m <= cap with residual dividing x^m - 1, if any.
-
-    No m below n = deg(residual) works, so the walk starts at
-    r = x^n mod residual and steps r -> x*r mod residual, one shift and
-    one reduction by the monic residual per m, until r = 1.  In
-    gamma_group the residual is u^g - 1, g <= d - 1, with a linear factor
-    deflated for each symmetry found, so the walk ends by m = g after one
-    step more than there are symmetries.
-    """
-    n = residual.degree
-    if n < 1:
-        return None
-    R = residual.monic().coeffs
-    terms = [(j, c) for j, c in enumerate(R[:n]) if c]
-    one, zero = R[n], residual.field.zero()
-    r = [-c for c in R[:n]]
-    for m in range(n, cap + 1):
-        if r[0] == one and not any(r[1:]):
-            return m
-        top = r.pop()
-        r.insert(0, zero)
-        if top:
-            for j, c in terms:
-                r[j] -= top * c
-    return None
+def _unity_scales(F: Poly, first: int) -> tuple:
+    """(g, [a in roots_of_unity(K) with a^g = 1]) for g the gcd of the
+    d - i with F_i != 0 and i >= first; g = 0 lets every a pass."""
+    d = F.degree
+    g = gcd(*(d - i for i, c in enumerate(F.coeffs) if c and i >= first))
+    return g, [a for a in roots_of_unity(F.field) if a ** g == 1]
 
 
 def gamma_group(A: Poly) -> LinearGroup:
     """Gamma(A): linear ell with A o ell = L o A, over the ambient field.
 
-    Infinite exactly when A is cyclic.  Each nonzero in-field scale a
-    gives ell and L by `_scale_maps`.  Elements found only in an
-    extension are reported through extension_hint, not raised.
+    With (s, F) = centred(A), ell = a*x + s*(a - 1) turns the equation
+    into F(a*x) = c*F + e, whose x^i terms for i >= 1 read a^(d-i) = 1
+    where F_i != 0 (c = a^d), and each such a passes, with ell and L from
+    `_scale_maps`: the scales are mu_g in K (`_unity_scales` from 1), and
+    g = 0, A cyclic, gives an infinite group.  mu_g in K has order < g
+    unless it is all of mu_g, so the rest, when not empty, holds a
+    primitive g-th root: the extension_hint is g then, and None if not.
     """
     if A.degree < 2:
         raise RittKitError("symmetry group needs degree >= 2")
-    G, v = _scale_polynomial(A, A)
-    if G.is_zero():                     # A is cyclic: every scale passes
+    s, F = centred(A)
+    g, scales = _unity_scales(F, 1)
+    if not g:
         return LinearGroup(kind=INFINITE)
-    pairs = []                          # (ell, L) with A o ell = L o A
-    residual = Poly(A.field, G.coeffs[G.multiplicity_at_zero():])
-    for a in in_field_roots(residual):
-        pairs.append(_scale_maps(A, A, v, a))
-        residual = deflate(residual, a)
-    pairs.sort(key=lambda p: (not p[0].is_identity(),   # identity first
-                              scalar_sort_key(p[0].a)))
+    v = Poly.make(A.field, [-s, s])
+    pairs = sorted((_scale_maps(A, A, v, a) for a in scales),
+                   key=lambda p: (not p[0].is_identity(),   # identity first
+                                  scalar_sort_key(p[0].a)))
     elements, companions = zip(*pairs)
     gen = _find_generator(elements)
     if gen is None:
         raise RittKitError("symmetry group is not cyclic (unexpected)")
     return LinearGroup(kind=FINITE, elements=elements, companions=companions,
-                       generator=gen, extension_hint=_extension_hint_order(
-                           residual, 2 * A.degree))
+                       generator=gen,
+                       extension_hint=g if len(scales) < g else None)
 
 
 class PowerNormalForm(Record):
@@ -170,19 +152,17 @@ def _scale_cycles(f: Poly, iter_bound: int) -> tuple:
     and right cancellation of C^(o k-1) gives C o L = a*x o C.  C is
     centred, so L = b*x with b in S and b^d = a.  Peeling k times, a, a^d,
     ..., a^(d^(k-1)) lie in S and a^(d^k) = a; conversely such a walk
-    composes to C^(o k) o a*x = a*x o C^(o k).  S is the group of b with
-    b^(d-i) = 1 for each i with C_i != 0, so the walk a -> a^d never
-    leaves it, the k that work are the multiples of the length of the
-    cycle through a, and the least k is that length.
+    composes to C^(o k) o a*x = a*x o C^(o k).  S is mu_g in K, for g the
+    gcd of the d - i with C_i != 0 (`_unity_scales` from 0), so the walk
+    a -> a^d never leaves it, the k that work are the multiples of the
+    length of the cycle through a, and the least k is that length.
     """
     if f.degree < 2:
         raise RittKitError("m_infinity needs degree >= 2")
     if iter_bound < 1:
         raise RittKitError("iter_bound must be >= 1")
     s, C = centred(f)
-    d = C.degree
-    S = {b for b in roots_of_unity(f.field)
-         if all(b ** (d - i) == 1 for i, c in enumerate(C.coeffs) if c)}
+    d, S = C.degree, _unity_scales(C, 0)[1]
     cycles = {}
     for a in S:                         # no cycle inside S is longer than S
         b, k = a ** d, 1

@@ -8,9 +8,13 @@ out in the test without the centred form: the substitution f(u*x + v(u))
 as a polynomial in x over K[u], the commuting linear maps of each
 iterate solved from its top two coefficients, and the power
 lc(f)*(x + t)^d.  The linear maps that `gamma_group` and
-`equivalence_witness` read off the centred forms are composed back.
+`equivalence_witness` read off the centred forms are composed back.  The
+scale gcd, taken on exponents, is compared with a fold of `poly_gcd`
+over the dense binomials, and its roots, n-th roots, with the roots
+that `in_field_roots` finds of u^n - c.
 """
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from test_kernel_properties import KERNEL
@@ -18,8 +22,8 @@ from test_kernel_properties import KERNEL
 from rittkit import (QQ, CycElem, LinearPoly, Poly, compose, conjugate,
                      cyclotomic_field, equivalence_witness, gamma_group,
                      iterate, m_infinity, poly_gcd)
-from rittkit.conjugacy import _scale_polynomial
-from rittkit.field import roots_of_unity
+from rittkit.conjugacy import _binomial_gcd, _scale_polynomial
+from rittkit.field import nth_roots, roots_of_unity, scalar_sort_key
 from rittkit.poly import centred, power_shape
 from rittkit.roots import in_field_roots
 
@@ -201,3 +205,76 @@ def test_linear_maps_read_off_the_centred_form_compose_back(data, field):
         assert compose(L2.to_poly(), compose(f, L1.to_poly())) == g
     G = _scale_polynomial(f, g)[0]
     assert (wit is None) == (bool(G) and not any(in_field_roots(G)))
+
+
+def binomial_gcd_by_division(field, binomials) -> Poly:
+    """The scale gcd as first computed: poly_gcd folded over the dense
+    binomials c*u^i - e*u^j, stopped at a constant."""
+    G = Poly(field, ())
+    for c, i, e, j in binomials:
+        if c or e:
+            G = poly_gcd(G, Poly.monomial(field, i, c)
+                         - Poly.monomial(field, j, e))
+            if G.degree == 0:
+                break
+    return G
+
+
+@st.composite
+def binomial_lists(draw, field):
+    """(c, i, e, j) lists: binomials planted on one u^b - q or just off
+    it, random ones, monomials, i = j and zero binomials, with exponents
+    up to 3,000."""
+    b = draw(st.integers(1, 6))
+    q = draw(st.sampled_from(roots_of_unity(field)))
+    top = 3000 // b                     # q^t stays small for a unit q
+    if draw(st.booleans()):
+        q, top = q * draw(small_q.filter(bool)), 20
+    exps = st.one_of(st.integers(0, 12), st.integers(0, 3000))
+    kinds = draw(st.sampled_from([["planted"], [
+        "monomial", "planted", "off", "random", "equal", "zero"], ["zero"]]))
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(kinds))
+        c, e = draw(scalars(field)), draw(scalars(field))
+        i, j = draw(exps), draw(st.one_of(st.integers(0, 1), exps))
+        if kind in ("planted", "off"):  # "off" misses u^b - q
+            c = c or field.one()
+            t = draw(st.integers(1, top))
+            i, e = j + b * t, c * q ** t * (2 if kind == "off" else 1)
+            if draw(st.booleans()):
+                c, i, e, j = e, j, c, i
+        elif kind == "monomial":        # c*u^i or -e*u^j, i != j
+            zero, one, j = field.zero(), field.one(), j + (i == j)
+            c, e = ((c or one, zero) if draw(st.booleans())
+                    else (zero, e or one))
+        elif kind == "equal":
+            j = i
+        elif kind == "zero":
+            c, e, i, j = ((c, c, i, i) if draw(st.booleans())
+                          else (field.zero(), field.zero(), i, j))
+        out.append((c, i, e, j))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@KERNEL
+@given(data=st.data())
+def test_binomial_gcd_on_exponents_matches_poly_gcd(data, field):
+    binomials = data.draw(binomial_lists(field))
+    for part in [binomials, []] + [[b] for b in binomials]:
+        assert (_binomial_gcd(field, part)
+                == binomial_gcd_by_division(field, part))
+
+
+@KERNEL
+@given(data=st.data(), order=st.sampled_from([1, 3, 4, 5, 8, 12]),
+       n=st.integers(1, 12))
+def test_nth_roots_are_the_roots_of_a_binomial(data, order, n):
+    field = QQ if order == 1 else cyclotomic_field(order)
+    c = data.draw(scalars(field).filter(bool))
+    if data.draw(st.booleans()):        # a q*w with n-th roots
+        c = (c * data.draw(st.sampled_from(roots_of_unity(field)))) ** n
+    found = nth_roots(c, n, field)
+    assert sorted(found, key=scalar_sort_key) == in_field_roots(
+        Poly.monomial(field, n) - Poly.constant(field, c))

@@ -12,8 +12,9 @@ from rittkit import (QQ, LinearPoly, Poly, align_iterates, chebyshev,
                      common_commuting_iterate, commutes_with_iterate, compose,
                      conjugate, cyclotomic_field, gamma_group, iterate,
                      m_infinity, roots_of_unity)
+from rittkit.conjugacy import _scale_polynomial
 from rittkit.poly import deflate, poly_divmod
-from rittkit.symmetry import _extension_hint_order
+from rittkit.roots import in_field_roots
 
 X = Poly.x(QQ)
 
@@ -171,28 +172,32 @@ def _hint_by_division(residual, cap):
     return None
 
 
-def test_extension_hint_walk_matches_division():
+def test_extension_hint_matches_division():
+    # x^r*P(x^e) translated: the scale gcd u^k*(u^g - 1) of A with itself,
+    # its in-field roots deflated, divides x^m - 1 first at the hint
     rng = rng_for("hint-walk")
     K5 = cyclotomic_field(5)
     for K in (QQ, K5):
         z = K.zeta() if K != QQ else K.one()
-        # divisors of x^g - 1, and random residuals that divide none
-        for g in range(1, 13):
-            full = Poly.monomial(K, g) - Poly.constant(K, 1)
-            for a in roots_of_unity(K):
-                if (a ** g) == K.one() and rng.random() < 0.5:
-                    full = deflate(full, a)
-            for cap in (g - 1, g, 2 * g):
-                assert (_extension_hint_order(full, cap)
-                        == _hint_by_division(full, cap))
-        for _ in range(20):
-            R = Poly.make(K, [rng.choice([-1, 0, 1, 2, z])
-                              for _ in range(rng.randint(1, 6))] + [1])
-            assert (_extension_hint_order(R, 14)
-                    == _hint_by_division(R, 14))
-    assert _extension_hint_order(P(1, 1, 1) * P(1, 1), 12) == 6
-    assert _extension_hint_order(P(-1, 2), 12) is None
-    assert _extension_hint_order(P(5), 12) is None
+        for e in range(1, 13):
+            for _ in range(3):
+                r = rng.randint(0, 3)
+                B = Poly.monomial(K, r) * compose(Poly.make(K, [
+                    rng.choice([-1, 0, 1, 2, z]) for _ in range(
+                        rng.randint(1, 3))] + [1]), Poly.monomial(K, e))
+                if B.degree < 2:
+                    B = B + Poly.monomial(K, 2 * e + r)
+                A = conjugate(LinearPoly.make(K, 1, rng.choice([0, 1, z])), B)
+                G = _scale_polynomial(A, A)[0]
+                grp = gamma_group(A)
+                if G.is_zero():
+                    assert grp.kind == "Infinite"
+                    continue
+                residual = Poly(K, G.coeffs[G.multiplicity_at_zero():])
+                for a in in_field_roots(residual):
+                    residual = deflate(residual, a)
+                assert grp.extension_hint == _hint_by_division(
+                    residual, 2 * A.degree)
 
 
 def test_gamma_of_a_long_binomial_ends_in_seconds():
@@ -220,3 +225,15 @@ def test_gamma_over_q_zeta7_at_degree_3000_ends_in_seconds():
     assert out.returncode == 0
     assert out.stdout.endswith("order: 1\nelements: \n  - x (companion x)\n"
                                "generator: x\nextension_hint: 2999\n")
+
+
+def test_gamma_of_an_uncentred_map_at_degree_1000_ends_in_seconds():
+    # centring makes every coefficient nonzero; the scale gcd took one
+    # dense poly_gcd per coefficient (9.5 s), its exponent gcd takes O(d)
+    src = str(Path(rittkit.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-m", "rittkit.cli", "gamma", "--f",
+         "x^1000 + x^999 + 2*x"],
+        env=dict(os.environ, PYTHONPATH=src), timeout=5,
+        capture_output=True, text=True)
+    assert out.returncode == 0
