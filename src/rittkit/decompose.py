@@ -8,6 +8,10 @@ factors off the h-adic digits of F (field.dense_digits); a full
 composition verifies both.  Over Q both kernels run on integers: the
 root by one integer recurrence with a proven denominator, the digits by
 one chain of integer pseudo-divisions over one running denominator.
+The Engstrom refinement and the equal-degree linear map need only
+normalized right factors and left factors, which Engstrom's theorem
+and the uniqueness of normalized right factors put in the field: they
+solve for no leading coefficient and ask for no field extension.
 """
 
 from __future__ import annotations
@@ -217,13 +221,15 @@ class EngstromCertificate(Record):
 
 def equal_degree_linear(a: Poly, c: Poly, b: Poly,
                         d: Poly) -> LinearPoly | None:
-    """The linear ell with a = c o ell and b = ell^{-1} o d, or None."""
-    for cand in right_factor_solve(a, c):
-        if cand.degree == 1:
-            ell = LinearPoly.from_poly(cand)
-            if compose(ell.inverse().to_poly(), d) == b:
-                return ell
-    return None
+    """The linear ell with a = c o ell and b = ell^{-1} o d, or None.
+
+    b = ell^{-1} o d makes ell^{-1} the unique left factor of b by d.
+    """
+    inv = left_factor_solve(b, d)
+    if inv is None or inv.degree != 1:
+        return None
+    ell = LinearPoly.from_poly(inv).inverse()
+    return ell if compose(c, ell.to_poly()) == a else None
 
 
 def engstrom_refine(a: Poly, b: Poly, c: Poly, d: Poly) -> EngstromCertificate:
@@ -231,7 +237,21 @@ def engstrom_refine(a: Poly, b: Poly, c: Poly, d: Poly) -> EngstromCertificate:
 
     Produces g, h with deg g = gcd(deg a, deg c), deg h = gcd(deg b, deg d),
     a = g o a_hat, c = g o c_hat, b = b_hat o h, d = d_hat o h, and
-    a_hat o b_hat = c_hat o d_hat.
+    a_hat o b_hat = c_hat o d_hat; and ell = c_hat^{-1}, with a = c o ell
+    and b = ell^{-1} o d, when deg a = deg c.
+
+    Engstrom's theorem (Engstrom 1941; Zieve and Mueller 2008) gives such
+    G, H, alpha, beta, gamma, delta over the algebraic closure, with
+    a = G o alpha, c = G o gamma, b = beta o H, d = delta o H and
+    alpha o beta = gamma o delta.  Right factors of one degree agree up to
+    a linear map on the left, so with a = g o a_hat and b = b_hat o h the
+    normalized splits (monic, zero constant term), alpha = lam o a_hat and
+    H = kap o h.  Normalized right factors are unique, so they, and the
+    left factors g = G o lam, b_hat and d_hat = delta o kap that right
+    cancellation fixes, lie in the field.  Then c_hat = lam^{-1} o gamma
+    has g o c_hat = c and a_hat o b_hat = c_hat o d_hat, and right
+    cancellation makes it the one left factor of a_hat o b_hat by d_hat.
+    So no step below can fail.
     """
     if any(p.degree < 1 for p in (a, b, c, d)):
         raise HypothesisViolationError("all four inputs must be nonconstant")
@@ -240,56 +260,20 @@ def engstrom_refine(a: Poly, b: Poly, c: Poly, d: Poly) -> EngstromCertificate:
     field = a.field
     D = gcd(a.degree, c.degree)
     E = gcd(b.degree, d.degree)
-
-    # Left side: a common left factor g of degree D.
-    if D == a.degree:
-        g0, a_hat = a, Poly.x(field)
-    else:
-        split = normalized_right_factor(a, a.degree // D)
-        if split is None:
-            raise FieldExtensionRequiredError(
-                "no in-field left factor of the predicted gcd degree for a")
-        g0, a_hat = split
-    if D == c.degree:
-        g1, c_hat0 = c, Poly.x(field)
-    else:
-        split = normalized_right_factor(c, c.degree // D)
-        if split is None:
-            raise FieldExtensionRequiredError(
-                "no in-field left factor of the predicted gcd degree for c")
-        g1, c_hat0 = split
-    # g0 and g1 agree up to a linear change; fold it into c_hat.
-    mus = [cand for cand in right_factor_solve(g1, g0) if cand.degree == 1]
-    if not mus:
-        raise FieldExtensionRequiredError(
-            "left factors of a and c are not linearly related in-field")
-    g = g0
-
-    # Right side: a common right factor h of degree E.
-    if E == b.degree:
-        h, b_hat = b, Poly.x(field)
-    else:
-        split = normalized_right_factor(b, E)
-        if split is None:
-            raise FieldExtensionRequiredError(
-                "no in-field right factor of the predicted gcd degree for b")
-        b_hat, h = split
-    d_hat = left_factor_solve(d, h)
-    if d_hat is None:
-        raise FieldExtensionRequiredError(
-            "h is not an in-field right factor of d")
-    # pick the mu that makes the middle identity hold; with several valid
-    # linear relations between the left factors only one is compatible
-    c_hat = None
-    for mu in mus:
-        cand = compose(mu, c_hat0)
-        if compose(a_hat, b_hat) == compose(cand, d_hat):
-            c_hat = cand
-            break
+    split_a = ((a, Poly.x(field)) if D == a.degree
+               else normalized_right_factor(a, a.degree // D))
+    split_b = ((Poly.x(field), b) if E == b.degree
+               else normalized_right_factor(b, E))
+    d_hat = c_hat = None
+    if split_a is not None and split_b is not None:
+        (g, a_hat), (b_hat, h) = split_a, split_b
+        d_hat = left_factor_solve(d, h)
+    if d_hat is not None:
+        c_hat = left_factor_solve(compose(a_hat, b_hat), d_hat)
     if c_hat is None:
-        c_hat = compose(mus[0], c_hat0)
-
-    ell = equal_degree_linear(a, c, b, d) if a.degree == c.degree else None
+        raise RittKitError("internal: Engstrom factors missing in the field")
+    ell = (LinearPoly.from_poly(c_hat).inverse()
+           if a.degree == c.degree else None)
     cert = EngstromCertificate(g, h, a_hat, b_hat, c_hat, d_hat, ell)
     if not cert.verify(a, b, c, d):
         raise RittKitError("certificate verification failed")

@@ -25,9 +25,9 @@ CYCLOTOMIC = "Cyclotomic"
 CYCLOTOMIC_DEGREE_CAP = 256
 
 
-# Below this many terms per operand a schoolbook product (of Fractions, or
-# of integers in int_mul) beats the packing of the Kronecker product.
-# CycElem products always take the integer schoolbook loop of dense_mul.
+# Below this many terms per operand an integer schoolbook product beats the
+# packing of the Kronecker product in int_mul.  CycElem products always take
+# the integer schoolbook loop of dense_mul.
 KRONECKER_MIN_LEN = 8
 
 
@@ -35,15 +35,14 @@ def dense_mul(a, b, zero, top=None) -> list:
     """Product of ascending coefficient lists.
 
     With top given, only the terms of degree 0..top are computed.  Rational
-    lists (zero a Fraction) of at least KRONECKER_MIN_LEN terms each are
-    multiplied as integer vectors over their denominators (int_mul); the
-    rest by schoolbook, skipping zero terms.
+    lists (zero a Fraction) are multiplied as integer vectors over their
+    denominators (int_mul), whatever their length; the rest by schoolbook,
+    skipping zero terms.
     """
     if top is not None:
         a, b = a[:top + 1], b[:top + 1]
     n = len(a) + len(b) - 1 if top is None else top + 1
-    if (type(zero) is Fraction
-            and min(len(a), len(b)) >= KRONECKER_MIN_LEN):
+    if type(zero) is Fraction:
         (ia, da), (ib, db) = int_vector(a), int_vector(b)
         den = da * db
         out = [Fraction(c, den) for c in int_mul(ia, ib)[:n]]

@@ -6,9 +6,9 @@ Both read their scales off one exponent gcd g of the centred map: they
 are the g-th roots of unity of the field (`_unity_scales`).  For Gamma(A)
 ell = a*x + v(a) and L = A(-s) + a^d*(y - A(-s)) cost no composition
 (`conjugacy._scale_maps`).  `power_normal_form` straightens A to
-x^s P(x^n) with n = |Gamma(A)|.  `m_infinity` and
-`common_commuting_iterate` build no iterate: they walk the scales
-a -> a^d of the centred map (`_scale_cycles`).
+x^s P(x^n) with n = |Gamma(A)|, read off the same centred form.
+`m_infinity` and `common_commuting_iterate` build no iterate: they walk
+the scales a -> a^d of the centred map (`_scale_cycles`).
 """
 
 from __future__ import annotations
@@ -107,29 +107,34 @@ class PowerNormalForm(Record):
 
 
 def power_normal_form(A: Poly) -> PowerNormalForm | None:
-    """ell1 o A o ell2 = x^s P(x^n) with n the order of the symmetry group."""
+    """ell1 o A o ell2 = x^s P(x^n) with n the order of the symmetry group.
+
+    With (t, F) = centred(A), n = |Gamma(A)| is the number of scales of
+    `_unity_scales(F, 1)` (None when Gamma(A) is infinite).  Every element
+    a*x + t*(a - 1) of Gamma(A) fixes -t, so for n > 1 ell2 = x - t and
+    A o ell2 = F - t.  The scales are the roots of unity of the field with
+    a^g = 1, a cyclic group whose order n divides g, and g divides d - i
+    wherever F_i != 0 (i >= 1): so every exponent of F - F_0 is s mod n,
+    s its least one.
+    """
     if A.degree < 2:
         raise RittKitError("normal form needs degree >= 2")
-    grp = gamma_group(A)
-    if grp.kind == "Infinite":
+    t, F = centred(A)
+    g, scales = _unity_scales(F, 1)
+    if not g:
         return None
     fieldK = A.field
-    n = len(grp.elements)
+    n = len(scales)
     if n == 1:
         ell2 = LinearPoly.identity(fieldK)
         tilde = A
     else:
-        gen = grp.generator
-        c = gen.b / (fieldK.one() - gen.a)
-        ell2 = LinearPoly.make(fieldK, 1, c)
-        tilde = compose(A, ell2.to_poly())
+        ell2 = LinearPoly.make(fieldK, 1, -t)
+        tilde = F - t
     a0 = tilde.constant_term()
     C = tilde - a0
     ell1 = LinearPoly.make(fieldK, 1, -a0)
     s = C.multiplicity_at_zero()
-    support = [i for i, c in enumerate(C.coeffs) if c]
-    if any((i - s) % n for i in support):
-        raise RittKitError("support pattern disagrees with the symmetry order")
     P = Poly.make(fieldK, [C.coeff(s + n * k)
                            for k in range((C.degree - s) // n + 1)])
     nf = PowerNormalForm(ell1, ell2, s, n, P)
