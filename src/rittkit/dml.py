@@ -12,10 +12,9 @@ from fractions import Fraction
 
 from .bivar import BivarCurve
 from .errors import BadReductionError, ResourceCapError, RittKitError
-from .field import int_horner, scalar_abs
+from .field import int_horner, is_prime, scalar_abs
 from .poly import Poly
 from .record import Record
-from .roots import is_prime
 
 DEFAULT_HEIGHT_CAP = 4096
 

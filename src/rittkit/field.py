@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import count, zip_longest
 from math import gcd, lcm
+from operator import mul
 
 from .errors import FieldMismatchError, ResourceCapError, RittKitError
 from .record import Record, slot_setters
@@ -98,8 +99,8 @@ def dense_divmod(a, b) -> tuple:
     """Long division of ascending coefficient lists: (q, r), len(r) < len(b).
 
     b[-1] is 1 or a nonzero field scalar (Fraction or CycElem).  A monic b
-    takes no division step, so reduction modulo Phi_m stays division-free
-    and integer input stays integer.  A rational b of degree 2 or more
+    takes no division step, so integer input stays integer and a monic
+    gcd candidate is tested without an inverse.  A rational b of degree 2 or more
     divides integer vectors (_int_long_division): each quotient term is one
     Fraction at the scale of its own step, each remainder term one Fraction
     at the end.  Below degree 2 the Fraction loop is cheaper, as the scales
@@ -230,6 +231,15 @@ def cyclotomic_polynomial(m: int) -> tuple:
     return tuple(poly)
 
 
+@lru_cache(maxsize=None)
+def _phi_table(m: int) -> tuple:
+    """(phi(m), ((i, -c_i) for the nonzero c_i, i < phi(m), of Phi_m)):
+    t^phi(m) == sum of -c_i*t^i modulo Phi_m."""
+    phi = cyclotomic_polynomial(m)
+    d = len(phi) - 1
+    return d, tuple((i, -c) for i, c in enumerate(phi[:d]) if c)
+
+
 def euler_phi(m: int) -> int:
     """Euler's totient of m >= 1, by trial division."""
     out, n, p = m, m, 2
@@ -240,6 +250,129 @@ def euler_phi(m: int) -> int:
                 n //= p
         p += 1
     return out - out // n if n > 1 else out
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The least strong pseudoprime to all twelve bases (Sorenson and Webster
+# 2015): below it the Miller-Rabin test on `_MR_BASES` is exact.
+PRIME_TEST_BOUND = 318665857834031151167461
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin on the first 12 primes as bases.
+
+    Exact for n < PRIME_TEST_BOUND; an n at or above it raises
+    ResourceCapError.
+    """
+    if n >= PRIME_TEST_BOUND:
+        raise ResourceCapError(
+            f"primality of {n} is not certified at or above "
+            f"PRIME_TEST_BOUND = {PRIME_TEST_BOUND}")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 41 * 41:  # a composite this small has a factor among the bases
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _next_prime(p: int) -> int:
+    p += 1
+    while not is_prime(p):
+        p += 1
+    return p
+
+
+# -- splitting primes: Z[zeta_m] modulo p = 1 (mod m) is F_p^phi(m) ----------
+
+# The primes p = 1 (mod m) found so far for each m, filled on demand.
+_SPLITTING_PRIMES: dict = {}
+
+
+def splitting_primes(m: int):
+    """The primes p = 1 (mod m) above 2^29, in increasing order, endless.
+
+    Phi_m splits into phi(m) distinct linear factors mod such a p.  For
+    every order the fields admit, about 10^5 of them or more lie below
+    2^30, where every residue is one 30-bit CPython digit.  The list is
+    built on first use and cached.
+    """
+    primes = _SPLITTING_PRIMES.setdefault(m, [])
+    for k in count():
+        if k == len(primes):
+            p = (primes[-1] if primes else 2 ** 29 // m * m + 1) + m
+            while not is_prime(p):
+                p += m
+            primes.append(p)
+        yield primes[k]
+
+
+@lru_cache(maxsize=None)
+def splitting_tables(m: int, p: int) -> tuple:
+    """(powers, inverse) for a prime p = 1 (mod m) and the phi(m) roots
+    w_i of Phi_m mod p, taken as w^k for one w of order m and each k < m
+    prime to m, in increasing k.
+
+    powers[i][j] = w_i^j mod p for j < phi(m), so a coordinate vector
+    takes its value at w_i by one dot product (cyc_reduce).  inverse is
+    the inverse of that Vandermonde matrix: the vector with the values
+    y_i at the w_i has coordinate j = sum_i inverse[j][i]*y_i.  Column i
+    of it is the Lagrange polynomial Phi_m/((t - w_i)*Phi_m'(w_i)) mod p,
+    1 at w_i and 0 at the other roots.
+    """
+    phi = [c % p for c in cyclotomic_polynomial(m)]
+    d = len(phi) - 1
+    factors = [q for q in range(2, m + 1) if m % q == 0 and is_prime(q)]
+    for g in count(2):
+        w = pow(g, (p - 1) // m, p)
+        if all(pow(w, m // q, p) != 1 for q in factors):
+            break
+    powers, columns = [], []
+    for k in range(1, m):
+        if gcd(k, m) != 1:
+            continue
+        r = pow(w, k, p)
+        row = [1]
+        for _ in range(d - 1):
+            row.append(row[-1] * r % p)
+        powers.append(row)
+        quo, acc = [0] * d, 1            # Phi_m/(t - r), top down
+        for j in range(d - 1, -1, -1):
+            quo[j] = acc
+            acc = (phi[j] + acc * r) % p
+        scale = pow(sum(map(mul, quo, row)), -1, p)
+        columns.append([c * scale % p for c in quo])
+    return powers, [list(r) for r in zip(*columns)]
+
+
+def cyc_reduce(coeffs, p: int, powers: list) -> list | None:
+    """The images mod p of CycElems at zeta -> w, powers = [w^j mod p]:
+    sum_j nums_j*w^j times den^-1 mod p.  None when p divides a
+    denominator, where the reduction is undefined.  One inverse serves
+    all: den^-1 = (D/den)*D^-1 for D the lcm of the denominators."""
+    D = lcm(*[c.den for c in coeffs])
+    if D == 1:
+        return [sum(map(mul, c.nums, powers)) % p for c in coeffs]
+    if not D % p:
+        return None
+    inv = pow(D, -1, p)
+    return [sum(map(mul, c.nums, powers)) * (D // c.den) % p * inv % p
+            for c in coeffs]
 
 
 class FieldDescriptor(Record):
@@ -269,6 +402,8 @@ class FieldDescriptor(Record):
         _set_order(self, order)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return (self.kind, self.order) == (other.kind, other.order)
         return NotImplemented
@@ -344,11 +479,25 @@ class CycElem:
     # -- construction helpers ------------------------------------------
     @classmethod
     def _make(cls, field, nums, den):
-        """Canonical element nums/den, nums reduced modulo Phi_m if longer."""
-        phi = cyclotomic_polynomial(field.order)
-        d = len(phi) - 1
-        if len(nums) > d:
-            nums = dense_divmod(nums, phi)[1]
+        """Canonical element nums/den from a fresh list nums of any length,
+        reduced modulo Phi_m in place: first modulo t^m - 1, which Phi_m
+        divides, by folding t^k onto t^(k - m), then top down from
+        _phi_table, each t^k with k >= phi(m) becoming t^(k - phi(m))
+        times the low terms of t^phi(m).  For prime m, a product of two
+        reduced vectors takes one step of the second kind.
+        """
+        m = field.order
+        d, table = _phi_table(m)
+        n = len(nums)
+        if n > d:
+            for k in range(n - 1, m - 1, -1):
+                nums[k - m] += nums.pop()
+            for k in range(len(nums) - 1, d - 1, -1):
+                c = nums.pop()
+                if c:
+                    base = k - d
+                    for i, e in table:
+                        nums[base + i] += c * e
         g = gcd(den, *nums)
         if g != 1:
             nums, den = [n // g for n in nums], den // g
@@ -375,7 +524,7 @@ class CycElem:
     # -- arithmetic -----------------------------------------------------
     def _coerced(self, other):
         if isinstance(other, CycElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError("cyclotomic orders differ")
             return other
         if isinstance(other, (int, Fraction)):

@@ -28,11 +28,21 @@ MAX_NESTING = 100
 # 10^8-bit integer, while (x + 1)^10000 needs about 10^4 bits.
 POWER_BITS_CAP = 100_000
 
-# Largest estimated work (`_capped_product`) of any one product; the caps
+# Largest estimated work (`_Parser.product`) of any one product; the caps
 # above leave the total size unbounded: (x + 1)^10000 has 10^4
 # coefficients of 10^4 bits.  The slowest power measured under the cap,
 # (x^3 + y^2 + 7*z)^49 over Q(zeta 4), parses in 1.7 s (2-vCPU VM).
 POWER_SIZE_CAP = 5_000_000
+
+# Largest estimated work of all the products of one expression: the caps
+# above bound each product, not their number, and a sum of powers under
+# them costs the sum of their costs (eight copies of (x + 1)^2000 took
+# 5 s).  The largest total the tests reach is 21.3 million, for the two
+# factors of (x+1)^2235*(x+1)^2235 before their product meets
+# POWER_SIZE_CAP.  The slowest input accepted, (x^3 + y^2 + 7*z)^49 four
+# times joined by + over Q(zeta 4), reaches 21.6 million and parses in
+# 3.7-4.4 s (2-vCPU x86_64 VM, Python 3.11).
+EXPRESSION_WORK_CAP = 24_000_000
 
 _FIELD_RE = re.compile(r"^\s*(?:field\s+)?Q(?:\s*\(\s*zeta\s+(\d+)\s*\))?\s*$")
 
@@ -75,36 +85,6 @@ def _max_bits(p: BivarPoly) -> int:
                           else (c.numerator, c.denominator))), default=0)
 
 
-def _capped_product(a: BivarPoly, b: BivarPoly) -> BivarPoly:
-    """a * b, for every product parsed, unless an estimate made first
-    passes POWER_BITS_CAP (a square's coefficient bits) or POWER_SIZE_CAP.
-
-    A product coefficient has at most the factors' bits plus the log of
-    the number of products summed into it.  Over Q the work is the output
-    terms of one Kronecker product per pair of nonzero rows, times the
-    bits; over Q(zeta m), one scalar product per pair of nonzero terms,
-    each phi(m)^2 products of 64-bit limbs, counted as (phi(m) + 2)^2 for
-    the fixed cost that dominates at small phi(m).
-    """
-    cyc = a.field.kind == "Cyclotomic"
-    # per nonzero row: its nonzero terms over Q(zeta m), its length over Q
-    sizes = [[sum(map(bool, r.coeffs)) if cyc else len(r.coeffs)
-              for r in p.rows if r] for p in (a, b)]
-    na, nb = map(sum, sizes)
-    bits = _max_bits(a) + _max_bits(b) + (min(na, nb) - 1).bit_length()
-    if a is b and bits > POWER_BITS_CAP:
-        raise ResourceCapError(
-            f"a square with coefficients of {bits} bits is above the power "
-            f"size cap POWER_BITS_CAP = {POWER_BITS_CAP} bits")
-    work = (na * nb * (a.field.degree + 2) ** 2 * (bits // 64 + 1) if cyc
-            else (len(sizes[1]) * na + len(sizes[0]) * nb) * bits)
-    if work > POWER_SIZE_CAP:
-        raise ResourceCapError(
-            f"a product of estimated work {work} is above the power size "
-            f"cap POWER_SIZE_CAP = {POWER_SIZE_CAP}")
-    return a * b
-
-
 class _Parser:
     def __init__(self, text: str, field: FieldDescriptor):
         self.field = field
@@ -112,6 +92,7 @@ class _Parser:
         self.i = 0
         self.depth = 0
         self.end = len(text)
+        self.work = 0                       # estimated work of all products
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -127,6 +108,43 @@ class _Parser:
         tok = self.next()
         if tok[0] != "op" or tok[1] != symbol:
             raise ParseError(f"expected {symbol!r}", position=tok[2])
+
+    def product(self, a: BivarPoly, b: BivarPoly) -> BivarPoly:
+        """a * b, for every product parsed, unless an estimate made first
+        passes POWER_BITS_CAP (a square's coefficient bits) or
+        POWER_SIZE_CAP, or brings the expression's total past
+        EXPRESSION_WORK_CAP.
+
+        A product coefficient has at most the factors' bits plus the log
+        of the number of products summed into it.  Over Q the work is the
+        output terms of one Kronecker product per pair of nonzero rows,
+        times the bits; over Q(zeta m), one scalar product per pair of
+        nonzero terms, each phi(m)^2 products of 64-bit limbs, counted as
+        (phi(m) + 2)^2 for the fixed cost that dominates at small phi(m).
+        """
+        cyc = a.field.kind == "Cyclotomic"
+        # per nonzero row: its nonzero terms over Q(zeta m), its length over Q
+        sizes = [[sum(map(bool, r.coeffs)) if cyc else len(r.coeffs)
+                  for r in p.rows if r] for p in (a, b)]
+        na, nb = map(sum, sizes)
+        bits = _max_bits(a) + _max_bits(b) + (min(na, nb) - 1).bit_length()
+        if a is b and bits > POWER_BITS_CAP:
+            raise ResourceCapError(
+                f"a square with coefficients of {bits} bits is above the "
+                f"power size cap POWER_BITS_CAP = {POWER_BITS_CAP} bits")
+        work = (na * nb * (a.field.degree + 2) ** 2 * (bits // 64 + 1) if cyc
+                else (len(sizes[1]) * na + len(sizes[0]) * nb) * bits)
+        if work > POWER_SIZE_CAP:
+            raise ResourceCapError(
+                f"a product of estimated work {work} is above the power size "
+                f"cap POWER_SIZE_CAP = {POWER_SIZE_CAP}")
+        self.work += work
+        if self.work > EXPRESSION_WORK_CAP:
+            raise ResourceCapError(
+                f"the expression's products reach estimated work "
+                f"{self.work}, above the expression work cap "
+                f"EXPRESSION_WORK_CAP = {EXPRESSION_WORK_CAP}")
+        return a * b
 
     def const(self, c) -> BivarPoly:
         return BivarPoly.make(self.field,
@@ -156,7 +174,7 @@ class _Parser:
             if tok is None or tok[0] != "op" or tok[1] != "*":
                 return acc
             self.next()
-            acc = _capped_product(acc, self.signed())
+            acc = self.product(acc, self.signed())
 
     def signed(self) -> BivarPoly:
         """A power after any run of unary signs, read in a loop."""
@@ -188,10 +206,10 @@ class _Parser:
         out = self.const(1)
         while n:                            # square and multiply
             if n & 1:
-                out = _capped_product(out, base)
+                out = self.product(out, base)
             n >>= 1
             if n:
-                base = _capped_product(base, base)
+                base = self.product(base, base)
         return out
 
     def atom(self) -> BivarPoly:

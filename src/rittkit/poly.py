@@ -7,12 +7,14 @@ the zero polynomial has an empty coefficient tuple.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+from operator import mul
 
 from .errors import FieldMismatchError, ResourceCapError, RittKitError
-from .field import (KRONECKER_MIN_LEN, QQ, FieldDescriptor, dense_divmod,
-                    dense_mul, int_horner, int_mul, int_pseudo_divmod,
-                    int_vector, scalar_str, signed_join)
+from .field import (KRONECKER_MIN_LEN, QQ, CycElem, FieldDescriptor,
+                    cyc_reduce, dense_divmod, dense_mul, int_horner, int_mul,
+                    int_pseudo_divmod, int_vector, scalar_str, signed_join,
+                    splitting_primes, splitting_tables)
 from .record import Record, slot_setters
 
 DEGREE_CAP = 10_000
@@ -353,14 +355,139 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     which keeps the coefficients at the size of the gcd's cofactors
     instead of letting Euclid's Fractions swell (Collins 1971; Brown
     1971).
+
+    Over K = Q(zeta m) the gcd of a zero and b is b made monic.  For
+    nonzero a and b it is modular (Langemyr and McCallum 1989;
+    Encarnacion 1995): at each prime p = 1 (mod m) of splitting_primes,
+    Z[zeta] has phi(m) residue maps onto F_p, zeta -> w_i with w_i the
+    roots of Phi_m mod p, the ideals P_i = (p, zeta - w_i).  A map is
+    good when p divides no denominator of a coefficient and neither
+    leading coefficient maps to 0; there Euclid mod p gives the monic
+    gcd of the images.  Let G = gcd(a, b), monic.
+
+    Degree bound: at a good map, deg gcd_P >= deg G.  Scale a by an
+    integer prime to p into A in Z[zeta][x], with leading coefficient c
+    a unit at P.  Each root alpha of A has c*alpha integral, since
+    c^(n-1)*A(x/c) is monic in Z[zeta][x] (n = deg A).  G divides A and
+    is monic, so its coefficients are symmetric functions of deg G of
+    those roots, and c^(deg G)*G is in Z[zeta][x] (Z[zeta] is the ring
+    of integers of K).  As c is a unit at P, G reduces at P, to a monic
+    polynomial of the same degree; a/G and b/G, quotients by a monic
+    divisor, reduce too, so it divides both images and so their gcd.
+
+    Hence one good map with a gcd of degree 0 proves G = 1, the common
+    case, and the search ends there.  Otherwise only the primes at which
+    all phi(m) maps are good and give the least degree seen so far are
+    kept.  When that degree is deg G, G reduces at every P_i to the gcd
+    of the images, so its power-basis coordinates are integral at p and
+    are read off the images by the inverse Vandermonde matrix of the
+    w_i.  The kept primes
+    are combined by the Chinese remainder theorem and each coordinate
+    recovered by rational reconstruction (Wang 1981; Monagan 2004).  A
+    candidate C is accepted only when it divides a and b exactly, which
+    takes no inverse as C is monic.  Then C divides G with deg C >= deg G, so
+    C = G.  The search has no cap on the number of primes: only finitely
+    many are bad or give too high a degree (those dividing a
+    denominator, a leading coefficient's norm, or the norm of a
+    resultant of the cofactors), and once the kept primes' product
+    passes twice the square of G's largest coordinate numerator and
+    denominator, the reconstruction is G.
     """
     if a.field == QQ and b.field == QQ:
         g = _int_gcd(primitive(int_vector(a.coeffs)[0]),
                     primitive(int_vector(b.coeffs)[0]))
         return Poly(QQ, tuple(Fraction(c, g[-1]) for c in g)) if g else a
-    while not b.is_zero():
-        a, b = b, poly_divmod(a, b)[1]
-    return a.monic() if not a.is_zero() else a
+    if not b:
+        return a.monic()
+    a._check(b)
+    if not a:
+        return b.monic()
+    return _cyclotomic_gcd(a, b)
+
+
+def _cyclotomic_gcd(a: Poly, b: Poly) -> Poly:
+    """The monic gcd of nonzero a and b over Q(zeta m) at splitting primes
+    (proofs in poly_gcd)."""
+    field = a.field
+    m, d = field.order, field.degree
+    one = (field.one(),)
+    if a.degree == 0 or b.degree == 0:
+        return Poly(field, one)
+    best = None
+    for p in splitting_primes(m):
+        powers, inverse = splitting_tables(m, p)
+        images = []                     # the monic gcd at each good map
+        for row in powers:
+            ia = cyc_reduce(a.coeffs, p, row)
+            ib = None if ia is None else cyc_reduce(b.coeffs, p, row)
+            if ib is None:              # p divides a denominator
+                break
+            if ia[-1] and ib[-1]:
+                g = _gcd_mod(ia, ib, p)
+                if len(g) == 1:
+                    return Poly(field, one)
+                inv = pow(g[-1], -1, p)
+                images.append([c * inv % p for c in g])
+        if not images:
+            continue
+        degrees = [len(g) - 1 for g in images]
+        if best is None or min(degrees) < best:
+            best, failed = min(degrees), None
+            residues, modulus = [0] * (best * d), 1
+        if len(images) < d or max(degrees) > best:
+            continue
+        # coordinate j of coefficient k < best of the gcd, mod p, at k*d + j
+        r = [sum(map(mul, row, ys)) % p
+             for ys in zip(*(g[:best] for g in images)) for row in inverse]
+        step = pow(modulus, -1, p)
+        residues = [u + modulus * ((v - u) * step % p)
+                    for u, v in zip(residues, r)]
+        modulus *= p
+        fracs = [_rational_reconstruction(u, modulus) for u in residues]
+        if any(f is None for f in fracs):
+            continue
+        cand = Poly(field, tuple(CycElem.from_vector(field, fracs[k:k + d])
+                                 for k in range(0, best * d, d)) + one)
+        if cand != failed and not any(
+                dense_divmod(a.coeffs, cand.coeffs)[1]
+                + dense_divmod(b.coeffs, cand.coeffs)[1]):
+            return cand
+        failed = cand
+    raise RittKitError("internal: the splitting primes ran out")
+
+
+def _gcd_mod(a: list, b: list, p: int) -> list:
+    """A gcd mod p, not made monic, of two integer lists with nonzero
+    leading terms mod p, by Euclid."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        a = list(a)
+        for k in range(len(a) - 1 - db, -1, -1):
+            c = a[k + db] * inv % p
+            if c:
+                for j in range(db):
+                    a[k + j] = (a[k + j] - c * b[j]) % p
+        del a[db:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return a
+
+
+def _rational_reconstruction(u: int, modulus: int) -> Fraction | None:
+    """The n/d == u (mod modulus) with |n|, d <= sqrt(modulus/2) and
+    gcd(n, d) = 1, unique if it exists, or None (Wang 1981)."""
+    bound = isqrt(modulus // 2)
+    r0, r1, s0, s1 = modulus, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if not 0 < abs(s1) <= bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
 
 
 def primitive(ints: list) -> list:

@@ -11,10 +11,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ResourceCapError
-from .field import (CYCLOTOMIC, QQ, int_horner, int_vector, nth_roots,
-                    roots_of_unity, scalar_sort_key)
+from . import field as _field
+from .field import (CYCLOTOMIC, QQ, _next_prime, int_horner, int_vector,
+                    nth_roots, roots_of_unity, scalar_sort_key)
 from .poly import Poly, deflate, poly_gcd, primitive, squarefree_part
+
+# The primality test lives in field, beside the splitting primes of the
+# modular gcd; these names keep it importable from here.
+is_prime = _field.is_prime
+PRIME_TEST_BOUND = _field.PRIME_TEST_BOUND
 
 
 def rational_roots(coeffs) -> list:
@@ -58,52 +63,6 @@ def rational_roots(coeffs) -> list:
         if not int_horner(G, z):
             roots.append(Fraction(z, a))
     return sorted(roots)
-
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# The least strong pseudoprime to all twelve bases (Sorenson and Webster
-# 2015): below it the Miller-Rabin test on `_MR_BASES` is exact.
-PRIME_TEST_BOUND = 318665857834031151167461
-
-
-def is_prime(n: int) -> bool:
-    """Whether n is prime, by Miller-Rabin on the first 12 primes as bases.
-
-    Exact for n < PRIME_TEST_BOUND; an n at or above it raises
-    ResourceCapError.
-    """
-    if n >= PRIME_TEST_BOUND:
-        raise ResourceCapError(
-            f"primality of {n} is not certified at or above "
-            f"PRIME_TEST_BOUND = {PRIME_TEST_BOUND}")
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    if n < 41 * 41:  # a composite this small has a factor among the bases
-        return True
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _next_prime(p: int) -> int:
-    p += 1
-    while not is_prime(p):
-        p += 1
-    return p
 
 
 def _quadratic_roots(F: Poly) -> list:
