@@ -281,13 +281,15 @@ def _primitive_y(G: BivarPoly) -> tuple:
 
 
 def _row_gcd(field, rows) -> Poly:
-    """Monic gcd of Polys in x, lowest degree first, stopping at degree 0."""
-    g = Poly(field, ())
-    for r in sorted(rows, key=lambda r: r.degree):
-        g = poly_gcd(g, r)
+    """Monic gcd of Polys in x (zero when all are): the nonzero rows from
+    the lowest degree up, stopping at degree 0, made monic only above it."""
+    rows = sorted((r for r in rows if r), key=lambda r: r.degree)
+    g = rows[0] if rows else Poly(field, ())
+    for r in rows[1:]:
         if g.degree == 0:
             break
-    return g
+        g = poly_gcd(g, r)
+    return Poly(field, (field.one(),)) if g.degree == 0 else g.monic()
 
 
 def bivar_gcd(G: BivarPoly, H: BivarPoly) -> BivarPoly:

@@ -591,14 +591,22 @@ class CycElem:
         return result
 
     def inverse(self):
+        """1/self: den/n for a rational n/den, else _sequence_inverse."""
+        if not self:
+            raise ZeroDivisionError("inverse of zero")
+        if any(self.nums[1:]):
+            return self._sequence_inverse()
+        n = self.nums[0]
+        return CycElem._make(self.field, [-self.den if n < 0 else self.den],
+                             abs(n))
+
+    def _sequence_inverse(self):
         """1/self by an extended primitive remainder sequence in Z[t].
 
         Rows (r, s, c) satisfy c*s*nums == r mod Phi_m with r and s
         primitive integer vectors and c a Fraction, so the vectors never
         hold a Fraction (Collins 1967; Brown 1971).
         """
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
         r0, s0, c0 = list(cyclotomic_polynomial(self.field.order)), [], 1
         r1, s1, c1 = _trim(list(self.nums)), [1], Fraction(1)
         while len(r1) > 1:

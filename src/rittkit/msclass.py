@@ -89,8 +89,9 @@ def _push_x(G: BivarPoly, f: Poly) -> BivarPoly:
 
 def _graph_image(G: BivarPoly, f: Poly, g: Poly) -> BivarPoly | None:
     """y - q(x) if G = c*y + r(x), c constant, and q o f == g o h for a
-    nonconstant h = -r/c: the image (f(t), q(f(t))) is an irreducible
-    curve inside the irreducible graph of q, so the two are equal.
+    nonconstant h = -r/c, q read off the f-adic digits of g o h, which
+    prove it: the image (f(t), q(f(t))) is an irreducible curve inside
+    the irreducible graph of q, so the two are equal.
     """
     if G.deg_y != 1 or G.rows[1].degree != 0:
         return None

@@ -577,15 +577,15 @@ def power_shape(f: Poly) -> tuple | None:
 
 # -- truncated reversed series: the top coefficients of powers and compositions
 
-def _series_pow(base: list, e: int, m: int, field) -> list:
-    out = [field.one()] + [field.zero()] * m
+def _series_pow(base: list, e: int, m: int, one, zero) -> list:
+    out = [one] + [zero] * m
     cur = list(base)
     while e:
         if e & 1:
-            out = dense_mul(out, cur, field.zero(), m)
+            out = dense_mul(out, cur, zero, m)
         e >>= 1
         if e:
-            cur = dense_mul(cur, cur, field.zero(), m)
+            cur = dense_mul(cur, cur, zero, m)
     return out
 
 
@@ -595,57 +595,63 @@ def _rev_trunc(q: Poly, m: int) -> list:
             for i in range(m + 1)]
 
 
-def _rev_compose_trunc(A: Poly, B: Poly, m: int) -> list:
-    """Top m+1 coefficients of A o B, highest degree first.
+def _rev_compose_trunc(A: Poly, B: Poly, m: int) -> tuple:
+    """(top, den), top[i]/den the x^(deg A*deg B - i) coefficient of A o B
+    for i = 0..m; den = 1 over Q(zeta m).
 
-    Uses rev(A o B) = sum_k A_k rev(B)^k x^((deg A - k) deg B), so only
-    the few k near deg A ever enter the truncation window.
+    rev(A o B) = sum_k A_k rev(B)^k x^((deg A - k) deg B), and only the
+    k >= kmin = deg A - m // deg B enter the window.  Over Q the sum runs
+    on integers: with A = a/da and rev(B) = R/db, each term is
+    a_k*db^(deg A - k)*R^k over da*db^(deg A), and each R^k one integer
+    schoolbook product truncated to m + 1 terms, which beats int_mul's
+    Kronecker product at these lengths.
     """
-    field = A.field
     dA, dB = A.degree, B.degree
-    revB = _rev_trunc(B, m)
     kmin = max(0, dA - m // dB)
-    cur = _series_pow(revB, kmin, m, field)
-    out = [field.zero()] * (m + 1)
+    rev = _rev_trunc(B, m)
+    if A.field == QQ:
+        (a, da), (rev, db) = int_vector(A.coeffs), int_vector(rev)
+        a = {k: a[k] * db ** (dA - k) for k in range(kmin, dA + 1)}
+        one, zero, den = 1, 0, da * db ** dA
+    else:
+        a, one, zero, den = A.coeffs, A.field.one(), A.field.zero(), 1
+    cur = _series_pow(rev, kmin, m, one, zero)
+    out = [zero] * (m + 1)
     for k in range(kmin, dA + 1):
         shift = (dA - k) * dB
-        ak = A.coeff(k)
-        if shift <= m and ak:
+        if a[k]:
             for i in range(m + 1 - shift):
                 if cur[i]:
-                    out[shift + i] = out[shift + i] + ak * cur[i]
+                    out[shift + i] += a[k] * cur[i]
         if k < dA:
-            cur = dense_mul(cur, revB, field.zero(), m)
-    return out
+            cur = dense_mul(cur, rev, zero, m)
+    return out, den
 
 
 def series_root(top: list, n: int, terms: int) -> list:
-    """The first `terms` coefficients of Q^(1/n), Q = top[0] + top[1]*x + ...
+    """The first `terms` coefficients of (Q/Q_0)^(1/n),
+    Q = top[0] + top[1]*x + ..., Q_0 != 0.
 
-    Needs Q_0 = 1, so that P_0 = 1 picks the root.  J. C. P. Miller's
-    recurrence n*k*P_k = sum_{i=1..k} ((n + 1)*i - n*k)*Q_i*P_(k-i) costs
+    With Q_0 = 1, P_0 = 1 picks the root.  J. C. P. Miller's recurrence
+    n*k*P_k = sum_{i=1..k} ((n + 1)*i - n*k)*Q_i*P_(k-i) costs
     O(terms^2) field operations (Knuth, TAOCP vol. 2, 4.7).  The weights
     are integers over n*k, so the one division per term is a product by a
-    Fraction, never a field inverse.
+    Fraction, never a field inverse; over Q(zeta m) one inverse scales Q
+    by 1/Q_0 first.
 
-    Over Q the recurrence runs on integers, one Fraction per output term.
-    Write Q = T/D with integers T_i and T_0 = D.  Then p_k = (n^2*D)^k*P_k
-    is an integer, and multiplying the recurrence by (n^2*D)^k/n gives
-
-        k*p_k = sum_{i=1..k} ((n + 1)*i - n*k)*T_i*n^(2i-1)*D^(i-1)*p_(k-i),
-
-    so the division by k is exact.  Proof that p_k is an integer: with
-    u = Q - 1, P = sum_j binom(1/n, j)*u^j; D^j times the x^k term of u^j
-    is an integer, zero for j > k.  So p_k is a sum of integers times
-    b_j = binom(1/n, j)*n^(2j) = n^j*prod_{i<j}(1 - n*i)/j!, and b_j is an
-    integer.  At a prime p not dividing n, binom(1/n, j) is a p-adic
-    integer: 1/n is one, and binom(., j) maps Z into Z and so, by
-    continuity, Z_p into Z_p.  At p | n, prod(1 - n*i) is a unit at p and
-    v_p(j!) < j <= j*v_p(n), so v_p(b_j) > 0.
+    Over Q, top holds Fractions or integers, and the recurrence runs on
+    integers with one Fraction per output term (_int_series_root):
+    Q/Q_0 = T/T_0 for T the integer vector of top, whose common
+    denominator cancels.
     """
-    if type(top[0]) is Fraction and terms > 1:
-        return _int_series_root(top[:terms], n, terms)
-    nonzero = [(i, q) for i, q in enumerate(top[1:terms], 1) if q]
+    top = top[:terms]
+    if type(top[0]) is Fraction:
+        top = int_vector(top)[0]
+    if type(top[0]) is int:
+        return _int_series_root(top, n, terms)
+    inv = 1 / top[0]
+    top = [q * inv for q in top]
+    nonzero = [(i, q) for i, q in enumerate(top[1:], 1) if q]
     out = [top[0]]
     zero = top[0] * 0
     for k in range(1, terms):
@@ -660,10 +666,26 @@ def series_root(top: list, n: int, terms: int) -> list:
     return out
 
 
-def _int_series_root(top: list, n: int, terms: int) -> list:
-    """series_root over Q by the integer recurrence of its docstring."""
-    T, D = int_vector(top)
-    nonzero, c = [], n
+def _int_series_root(T: list, n: int, terms: int) -> list:
+    """The first `terms` coefficients of Q^(1/n) with P_0 = 1, for
+    Q = T/D, T integers and D = T_0 != 0, which may be negative.
+
+    p_k = (n^2*D)^k*P_k is an integer, and multiplying Miller's
+    recurrence by (n^2*D)^k/n gives
+
+        k*p_k = sum_{i=1..k} ((n + 1)*i - n*k)*T_i*n^(2i-1)*D^(i-1)*p_(k-i),
+
+    so the division by k is exact.  Proof that p_k is an integer: with
+    u = Q - 1 = (T - D)/D, P = sum_j binom(1/n, j)*u^j; D^j times the
+    x^k term of u^j is an integer, zero for j > k, whatever the sign of
+    D.  So p_k is a sum of integers times b_j = binom(1/n, j)*n^(2j) =
+    n^j*prod_{i<j}(1 - n*i)/j!, and b_j is an integer.  At a prime p not
+    dividing n, binom(1/n, j) is a p-adic integer: 1/n is one, and
+    binom(., j) maps Z into Z and so, by continuity, Z_p into Z_p.  At
+    p | n, prod(1 - n*i) is a unit at p and v_p(j!) < j <= j*v_p(n), so
+    v_p(b_j) > 0.
+    """
+    D, nonzero, c = T[0], [], n
     for i, t in enumerate(T[1:], 1):     # c = n^(2i-1)*D^(i-1)
         if t:
             nonzero.append((i, t * c))
@@ -693,8 +715,7 @@ def _top_root(F: Poly, n: int, terms: int) -> list:
     Highest first, they are the top coefficients of the monic h whose
     n-th power agrees with F/lc(F) in its top `terms` coefficients.
     """
-    inv = 1 / F.leading()
-    return series_root([c * inv for c in _rev_trunc(F, terms - 1)], n, terms)
+    return series_root(_rev_trunc(F, terms - 1), n, terms)
 
 
 def poly_nth_root(F: Poly, n: int, lead_root) -> Poly | None:

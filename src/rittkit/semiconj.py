@@ -54,6 +54,8 @@ def solve_intertwiner(left: Poly, right: Poly, deg_bound: int) -> list:
     the number of correct top coefficients by delta, so b.bit_length()
     rounds from p = a*x^b fix all of p.  A truncated top-coefficient
     comparison and then a full composition check confirm each candidate.
+    Over Q the tops are integer vectors over one denominator: the root of
+    top/top[0] ignores it, and two tops compare by cross-multiplication.
     """
     if left.degree != right.degree or left.degree < 2:
         raise RittKitError("need equal degrees >= 2")
@@ -74,12 +76,13 @@ def solve_intertwiner(left: Poly, right: Poly, deg_bound: int) -> list:
         for a in leads:
             cand = Poly.monomial(field, b, a)
             for _ in range(b.bit_length()):
-                top = _rev_compose_trunc(cand, right, b)
-                inv = 1 / top[0]
-                root = series_root([t * inv for t in top], delta, b + 1)
+                top = _rev_compose_trunc(cand, right, b)[0]
+                root = series_root(top, delta, b + 1)
                 cand = Poly.make(field, root[::-1]).scale(a) - c
-            if _rev_compose_trunc(left, cand, m) != \
-                    _rev_compose_trunc(cand, right, m):
+            (u, du), (v, dv) = (_rev_compose_trunc(left, cand, m),
+                                _rev_compose_trunc(cand, right, m))
+            if (u != v if du == dv else
+                    any(x * dv != y * du for x, y in zip(u, v))):
                 continue
             if compose(left, cand) == compose(cand, right) and cand not in found:
                 found.append(cand)

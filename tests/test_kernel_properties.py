@@ -243,10 +243,33 @@ def test_int_pseudo_divmod_identity(a, b, lead):
     assert f and lead ** max(0, len(a) - len(b) + 1) % f == 0
 
 
+wide_q = st.one_of(small_q, st.builds(Fraction, st.integers(-2 ** 64, 2 ** 64),
+                                      st.integers(1, 2 ** 64)))
+
+
+@st.composite
+def wide_polys(draw, min_degree, max_degree):
+    """Polynomials over Q with large denominators and leads of either sign."""
+    d = draw(st.integers(min_degree, max_degree))
+    coeffs = draw(st.lists(wide_q, min_size=d, max_size=d))
+    return Poly.make(QQ, coeffs + [draw(wide_q.filter(bool))])
+
+
 @KERNEL
-@given(A=polys(QQ, 1, 5), B=polys(QQ, 1, 4), m=st.integers(0, 12))
-def test_rev_compose_trunc_is_top_of_compose(A, B, m):
-    assert _rev_compose_trunc(A, B, m) == _rev_trunc(compose(A, B), m)
+@given(data=st.data(), K=st.sampled_from([QQ, QQ, QQ, cyclotomic_field(5)]))
+def test_rev_compose_trunc_is_top_of_compose(data, K):
+    """top/den against the full composition: m from below deg B (kmin =
+    deg A) to past deg A*deg B (kmin = 0), over Q and Q(zeta 5)."""
+    if K == QQ:
+        A, B = data.draw(wide_polys(1, 5)), data.draw(wide_polys(1, 4))
+    else:
+        A, B = data.draw(polys(K, 1, 3)), data.draw(polys(K, 1, 3))
+    dA, dB = A.degree, B.degree
+    m = data.draw(st.sampled_from([0, dB - 1, dA * dB, dA * dB + 3])
+                  | st.integers(0, 12))
+    top, den = _rev_compose_trunc(A, B, m)
+    assert den and len(top) == m + 1
+    assert top == [c * den for c in _rev_trunc(compose(A, B), m)]
 
 
 # -- rational products: Kronecker above the length threshold, schoolbook below
