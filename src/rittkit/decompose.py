@@ -186,7 +186,7 @@ def complete_decompositions(f: Poly,
             return left[c]
         u = left_factor_solve(right[e], right[c])
         if u is None:
-            raise RittKitError("internal: right factors of f are not "
+            raise RuntimeError("internal: right factors of f are not "
                                "nested by degree")
         return u
 
@@ -254,7 +254,9 @@ def engstrom_refine(a: Poly, b: Poly, c: Poly, d: Poly) -> EngstromCertificate:
     cancellation fixes, lie in the field.  Then c_hat = lam^{-1} o gamma
     has g o c_hat = c and a_hat o b_hat = c_hat o d_hat, and right
     cancellation makes it the one left factor of a_hat o b_hat by d_hat.
-    So no step below can fail.
+    So no step below can fail.  The digits prove a = g o a_hat, b = b_hat o
+    h, d = d_hat o h and a_hat o b_hat = c_hat o d_hat, so c o d = g o c_hat
+    o d_hat, and right cancellation gives c = g o c_hat.
     """
     if any(p.degree < 1 for p in (a, b, c, d)):
         raise HypothesisViolationError("all four inputs must be nonconstant")
@@ -274,13 +276,10 @@ def engstrom_refine(a: Poly, b: Poly, c: Poly, d: Poly) -> EngstromCertificate:
     if d_hat is not None:
         c_hat = left_factor_solve(compose(a_hat, b_hat), d_hat)
     if c_hat is None:
-        raise RittKitError("internal: Engstrom factors missing in the field")
+        raise RuntimeError("internal: Engstrom factors missing in the field")
     ell = (LinearPoly.from_poly(c_hat).inverse()
            if a.degree == c.degree else None)
-    cert = EngstromCertificate(g, h, a_hat, b_hat, c_hat, d_hat, ell)
-    if not cert.verify(a, b, c, d):
-        raise RittKitError("certificate verification failed")
-    return cert
+    return EngstromCertificate(g, h, a_hat, b_hat, c_hat, d_hat, ell)
 
 
 class PowerFormSplit(Record):
@@ -319,6 +318,9 @@ def decompose_power_form(A: Poly, B: Poly, s: int, n: int) -> PowerFormSplit:
 
     The coprimality of j and k with n is reported via flags rather than
     enforced, since it can fail when gcd(s, n) > 1.
+
+    B - B_0 = lc*x^k*R^n gives W = ell o B = x^k*(lc*R)^n, and the digits
+    prove F = D o W = (A o ell^{-1}) o W: so A = D o ell by cancellation.
     """
     if s < 1 or n < 1:
         raise HypothesisViolationError("s and n must be positive")
@@ -335,9 +337,6 @@ def decompose_power_form(A: Poly, B: Poly, s: int, n: int) -> PowerFormSplit:
     P2 = R.scale(B.leading())
     ell = LinearPoly.make(field, alpha, -alpha * B.constant_term())
     W = compose(ell.to_poly(), B)
-    if W != Poly.monomial(field, k) * P2 ** n:
-        raise RittKitError("inner normal form verification failed")
-
     D = left_factor_solve(F, W)
     outer = None if D is None or D.constant_term() else power_form(D, n)
     if outer is None:
@@ -346,8 +345,6 @@ def decompose_power_form(A: Poly, B: Poly, s: int, n: int) -> PowerFormSplit:
     j, R1 = outer
     P1 = _scaled_root(R1, D.leading(), n,
                       "outer P1 requires an n-th root outside the field")
-    if compose(Poly.monomial(field, j) * P1 ** n, ell.to_poly()) != A:
-        raise RittKitError("outer normal form verification failed")
     return PowerFormSplit(j=j, k=k, P1=P1, P2=P2, ell=ell,
                           gcd_j_ok=gcd(j, n) == 1,
                           gcd_k_ok=gcd(k, n) == 1)

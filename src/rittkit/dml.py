@@ -168,7 +168,8 @@ def progression_decompose(S, horizon: int):
 
     Searches eventual periodicity of the characteristic sequence with
     period <= horizon // 3; among the fits, the fewest progressions win,
-    then the lexicographically smallest list.
+    then the lexicographically smallest list.  Each fit regenerates S:
+    bits has period per from tail on, and tail + per <= horizon.
     """
     S = set(S)
     if any(n < 0 or n > horizon for n in S):
@@ -193,15 +194,7 @@ def progression_decompose(S, horizon: int):
         key = (len(progs), tuple((q.a, q.b) for q in progs))
         if best is None or key < best[0]:
             best = (key, progs)
-    if best is None:
-        return None
-    progs = best[1]
-    union = set()
-    for q in progs:
-        union |= q.members(horizon)
-    if union != S:
-        raise RittKitError("progression regeneration mismatch")
-    return progs
+    return None if best is None else best[1]
 
 
 class EscapeCertificate(Record):
@@ -230,7 +223,9 @@ class PreperiodicResult(Record):
 
 
 def _escape_radius(f: Poly) -> Fraction:
-    """|x| >= radius implies |f(x)| >= 2|x|, from coefficient dominance."""
+    """|x| >= radius implies |f(x)| >= 2|x|, from coefficient dominance:
+    |f(x)| >= |x|^(d-1)*(|lc|*|x| - sum |f_i|) >= 2|x|^(d-1), so an
+    `EscapeCertificate` there verifies."""
     total = sum((abs(Fraction(f.coeff(i))) for i in range(f.degree)),
                 Fraction(0))
     return max(Fraction(1), (total + 2) / abs(Fraction(f.leading())))
@@ -255,10 +250,8 @@ def preperiodic_check(f: Poly, a, N: int,
             i = seen[cur]
             return PreperiodicResult("Preperiodic", tail=i, period=n - i)
         if rational and scalar_abs(cur) >= radius:
-            cert = EscapeCertificate(index=n, radius=radius, value=cur)
-            if not cert.verify(f):
-                raise RittKitError("escape certificate failed verification")
-            return PreperiodicResult("Escape", certificate=cert)
+            return PreperiodicResult("Escape", certificate=EscapeCertificate(
+                index=n, radius=radius, value=cur))
         if _height_bits(cur) > height_cap:
             return PreperiodicResult("Unknown")
         seen[cur] = n

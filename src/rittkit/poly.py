@@ -453,7 +453,7 @@ def _cyclotomic_gcd(a: Poly, b: Poly) -> Poly:
                 + dense_divmod(b.coeffs, cand.coeffs)[1]):
             return cand
         failed = cand
-    raise RittKitError("internal: the splitting primes ran out")
+    raise RuntimeError("internal: the splitting primes ran out")
 
 
 def _gcd_mod(a: list, b: list, p: int) -> list:
@@ -701,7 +701,7 @@ def _int_series_root(T: list, n: int, terms: int) -> list:
                 acc += w * t * p[k - i]
         pk, rem = divmod(acc, k)
         if rem:
-            raise RittKitError(f"internal: series_root term {k} is not "
+            raise RuntimeError(f"internal: series_root term {k} is not "
                                "an integer")
         p.append(pk)
         scale *= step

@@ -108,13 +108,16 @@ def _unity_scaled_roots(F: Poly) -> list:
 
 
 def in_field_roots(F: Poly) -> list:
-    """All roots of F found in F's own field (complete over Q)."""
+    """All roots of F found in F's own field (complete over Q).
+
+    Every path finds or tests its roots exactly (the formulas solve a
+    deflated factor of F), so only repeats are dropped.
+    """
     field = F.field
     if F.is_zero():
         raise ValueError("zero polynomial has every root")
     if F.degree < 1:
         return []
-    orig = F
     roots = []
     m = F.multiplicity_at_zero()
     if m:
@@ -133,9 +136,4 @@ def in_field_roots(F: Poly) -> list:
             roots.append(-F.coeff(0) / F.coeff(1))
         elif F.degree == 2:
             roots.extend(_quadratic_roots(F))
-    out = []
-    for r in roots:
-        if r not in out and not orig.evaluate(r):
-            out.append(r)
-    out.sort(key=scalar_sort_key)
-    return out
+    return sorted(dict.fromkeys(roots), key=scalar_sort_key)

@@ -126,6 +126,13 @@ def inou_normal_form(w: SemiconjWitness) -> InouNormalForm:
     Requires gcd(deg f, deg p) = 1 and a disintegrated f.  The congruence
     flag reports whether c = b holds modulo deg f; the raw residues ship in
     detail for inspection since competing congruences exist.
+
+    ell1 o p o ell2^{-1} = x^b by construction, so f_t(x^b) = eta_t^b for
+    the conjugates f_t, eta_t of f, eta.  With zeta^b = 1 primitive, that
+    makes eta_t(zeta*x) a constant times eta_t: its exponents are all
+    c = mult_0(eta_t) mod b, so eta_t = x^c P(x^b) and f_t = x^c P^b for
+    P read off eta_t, with no root taken.  c >= 1: for b = 1 the origin
+    is a fixed point of f_t, and for b >= 2 gcd(deg f, b) = 1.
     """
     f, p, eta = w.f, w.p, w.eta
     field = f.field
@@ -143,58 +150,27 @@ def inou_normal_form(w: SemiconjWitness) -> InouNormalForm:
         if not fixed:
             raise FieldExtensionRequiredError(
                 "no in-field fixed point of f for the degenerate normal form")
-        w0 = fixed[0]
-        ell1 = LinearPoly.make(field, 1, -w0)
+        ell1 = LinearPoly.make(field, 1, -fixed[0])
         ell2 = LinearPoly.from_poly(compose(ell1.to_poly(), p))
-        f_t = conjugate(ell1, f)
-        c = f_t.multiplicity_at_zero()
-        P = Poly(field, f_t.coeffs[c:])
-        nf = InouNormalForm(ell1, ell2, 1, c, P,
-                            congruence_flag=(c - 1) % delta == 0,
-                            detail={"c_mod_delta": c % delta,
-                                    "b_mod_delta": 1 % delta,
-                                    "c_mod_b": 0})
-        if not nf.verify(w):
-            raise RittKitError("degenerate normal form failed verification")
-        return nf
-
-    # p must be a shifted power: p = p_b (x + t)^b + B
-    shape = power_shape(p)
-    if shape is None:
-        raise HypothesisViolationError(
-            "p is not equivalent to a power map, so the normal form "
-            "hypotheses cannot hold")
-    t, B = shape
-    ell2 = LinearPoly.make(field, 1, t)
-    ell1 = LinearPoly.make(field, field.one() / p.leading(),
-                           -B / p.leading())
-    f_t = conjugate(ell1, f)
-    if f_t.constant_term():
-        raise HypothesisViolationError(
-            "conjugated f does not vanish at the origin")
-    split = power_form(f_t, b)
-    if split is None:
-        raise HypothesisViolationError("f does not have the x^c P(x)^b shape")
-    c, R = split
-    roots = [R.scale(a) for a in nth_roots(f_t.leading(), b, field)]
-    if not roots:
-        raise FieldExtensionRequiredError(
-            "P requires a b-th root outside the field",
-            equation=f"t^{b} = {f_t.leading()}")
-    # eta picks the unity twist; keep the first root if it matches none
+    else:
+        # p must be a shifted power: p = p_b (x + t)^b + B
+        shape = power_shape(p)
+        if shape is None:
+            raise HypothesisViolationError(
+                "p is not equivalent to a power map, so the normal form "
+                "hypotheses cannot hold")
+        t, B = shape
+        ell2 = LinearPoly.make(field, 1, t)
+        ell1 = LinearPoly.make(field, field.one() / p.leading(),
+                               -B / p.leading())
     eta_t = conjugate(ell2, eta)
-    xb = Poly.monomial(field, b)
-    P = next((cand for cand in roots
-              if eta_t == Poly.monomial(field, c) * compose(cand, xb)),
-             roots[0])
-    nf = InouNormalForm(ell1, ell2, b, c, P,
-                        congruence_flag=(c - b) % delta == 0,
-                        detail={"c_mod_delta": c % delta,
-                                "b_mod_delta": b % delta,
-                                "c_mod_b": c % b})
-    if not nf.verify(w):
-        raise RittKitError("normal form failed verification")
-    return nf
+    c = eta_t.multiplicity_at_zero()
+    return InouNormalForm(ell1, ell2, b, c,
+                          Poly.make(field, eta_t.coeffs[c::b]),
+                          congruence_flag=(c - b) % delta == 0,
+                          detail={"c_mod_delta": c % delta,
+                                  "b_mod_delta": b % delta,
+                                  "c_mod_b": c % b})
 
 
 class CommonWitness(Record):
@@ -210,7 +186,9 @@ class CommonWitness(Record):
 
 
 def _power_shape_etas(F: Poly, deg_cap: int):
-    """Candidate (p, eta) with F o p = p o eta from fixed-point power shapes."""
+    """Pairs (p, eta) with F o p = p o eta from fixed-point power shapes:
+    F(x + w0) - w0 = lc*x^c*R^b with a^b = lc gives F(x^b + w0) - w0 =
+    x^(c*b)*(a*R(x^b))^b = eta^b for p = x^b + w0, eta = x^c*(a*R)(x^b)."""
     field = F.field
     for w0 in in_field_roots(F - Poly.x(field)):
         shifted = conjugate(LinearPoly.make(field, 1, -w0), F)
@@ -226,9 +204,7 @@ def _power_shape_etas(F: Poly, deg_cap: int):
                 continue
             xb = Poly.monomial(field, b)
             eta = Poly.monomial(field, c) * compose(R.scale(leads[0]), xb)
-            p = xb + Poly.constant(field, w0)
-            if compose(F, p) == compose(p, eta):
-                yield p, eta
+            yield xb + Poly.constant(field, w0), eta
 
 
 def common_semiconjugate(f: Poly, g: Poly,
@@ -237,7 +213,8 @@ def common_semiconjugate(f: Poly, g: Poly,
     """A verified common semiconjugate of f^(o N) and g^(o N), if found.
 
     Bounded search: absence means "not found at these caps", never a
-    proof that f and g are inequivalent.
+    proof that f and g are inequivalent.  `solve_intertwiner` checks s;
+    the other side is x, or a pair that `_power_shape_etas` proves.
     """
     if N_max < 1:
         raise RittKitError("N_max must be >= 1")
@@ -268,10 +245,8 @@ def common_semiconjugate(f: Poly, g: Poly,
             if not sols:
                 continue
             s = min(sols, key=lambda h: h.degree)
-            wit = (CommonWitness(N, eta, other, s) if flip
-                   else CommonWitness(N, eta, s, other))
-            if wit.verify(f, g):
-                return wit
+            return (CommonWitness(N, eta, other, s) if flip
+                    else CommonWitness(N, eta, s, other))
     return None
 
 

@@ -19,8 +19,7 @@ from .conjugacy import _scale_maps
 from .decompose import equal_degree_linear
 from .errors import HypothesisViolationError, RittKitError
 from .field import roots_of_unity, scalar_sort_key
-from .poly import (LinearPoly, Poly, centred, compose, conjugate, iterate,
-                   power_shape)
+from .poly import LinearPoly, Poly, centred, compose, power_shape
 from .record import Record
 
 INFINITE = "Infinite"
@@ -86,7 +85,7 @@ def gamma_group(A: Poly) -> LinearGroup:
     elements, companions = zip(*pairs)
     gen = _find_generator(elements)
     if gen is None:
-        raise RittKitError("symmetry group is not cyclic (unexpected)")
+        raise RuntimeError("symmetry group is not cyclic (unexpected)")
     return LinearGroup(kind=FINITE, elements=elements, companions=companions,
                        generator=gen,
                        extension_hint=g if len(scales) < g else None)
@@ -115,7 +114,8 @@ def power_normal_form(A: Poly) -> PowerNormalForm | None:
     A o ell2 = F - t.  The scales are the roots of unity of the field with
     a^g = 1, a cyclic group whose order n divides g, and g divides d - i
     wherever F_i != 0 (i >= 1): so every exponent of F - F_0 is s mod n,
-    s its least one.
+    s its least one, and ell1 o A o ell2 = x^s P(x^n) for ell1 = x - a0,
+    a0 = A(ell2(0)), and P read off every n-th coefficient from s.
     """
     if A.degree < 2:
         raise RittKitError("normal form needs degree >= 2")
@@ -137,10 +137,7 @@ def power_normal_form(A: Poly) -> PowerNormalForm | None:
     s = C.multiplicity_at_zero()
     P = Poly.make(fieldK, [C.coeff(s + n * k)
                            for k in range((C.degree - s) // n + 1)])
-    nf = PowerNormalForm(ell1, ell2, s, n, P)
-    if not nf.verify(A):
-        raise RittKitError("normal form verification failed")
-    return nf
+    return PowerNormalForm(ell1, ell2, s, n, P)
 
 
 def _scale_cycles(f: Poly, iter_bound: int) -> tuple:
@@ -231,6 +228,10 @@ def align_iterates(f: Poly, g: Poly, L: LinearPoly, n: int):
     Peels f^(o n) = L o g^(o n) one factor at a time, producing linear maps
     L_0 ... L_n with f = L_{i+1} o g o L_i^{-1}; a collision L_i = L_j
     yields the conjugating ell = L_i with N = j - i.
+
+    Each peel of f^(o k) = M o g^(o k) by `equal_degree_linear` checks
+    f = M o g o ell and leaves f^(o k-1) = ell^{-1} o g^(o k-1); the last
+    peels x by x, so L_0 = x, and f^(o N) = L_j o g^(o N) o L_i^{-1}.
     """
     if f.degree != g.degree or f.degree < 2:
         raise HypothesisViolationError("f and g need equal degree >= 2")
@@ -252,8 +253,6 @@ def align_iterates(f: Poly, g: Poly, L: LinearPoly, n: int):
             raise RittKitError(
                 "no in-field linear relating the equal-degree factors")
         Ms.append(ell.inverse())
-    if not Ms[-1].is_identity():
-        raise RittKitError("peeling did not terminate at the identity")
     Ls = [Ms[n - i] for i in range(n + 1)]
     best = None
     for j in range(1, n + 1):
@@ -264,6 +263,4 @@ def align_iterates(f: Poly, g: Poly, L: LinearPoly, n: int):
     if best is None:
         raise RittKitError("no collision among the peeled linear maps")
     N, _, ell = best
-    if fk[N] != iterate(conjugate(ell, g), N):
-        raise RittKitError("alignment certificate failed verification")
     return ell, N
