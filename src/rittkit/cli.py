@@ -16,7 +16,6 @@ from .errors import (CollapsedImageError, FieldExtensionRequiredError,
                      ParseError, ResourceCapError, RittKitError)
 from .field import scalar_str
 from .parser import parse_curve, parse_field, parse_poly
-from .poly import LinearPoly
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -26,23 +25,40 @@ EXIT_EXTENSION = 4
 
 
 class Doc:
-    """Ordered key-value document with two-space nesting."""
+    """Ordered key-value document with two-space nesting: None prints as
+    `absent`, a bool as `true`/`false`, any other value as its str."""
 
     def __init__(self):
         self.lines = []
 
     def add(self, key, value, indent=0):
+        if value is None:
+            value = "absent"
+        elif isinstance(value, bool):
+            value = "true" if value else "false"
         self.lines.append(f"{'  ' * indent}{key}: {value}")
 
     def item(self, value, indent=1):
         self.lines.append(f"{'  ' * indent}- {value}")
 
+    def items(self, key, values, head=None):
+        """key: head (by default the count of values), then each value."""
+        values = list(values)
+        self.add(key, len(values) if head is None else head)
+        for v in values:
+            self.item(v)
+
+    def fields(self, record, names=None):
+        """A line per field of record: those in names, or all, in order."""
+        for name in names or record._fields:
+            self.add(name, getattr(record, name))
+
     def render(self) -> str:
         return "\n".join(self.lines) + "\n"
 
 
-def _fmt_linear(ell: LinearPoly | None) -> str:
-    return "absent" if ell is None else str(ell.to_poly())
+def _joined(indices) -> str:
+    return ",".join(map(str, indices)) or "empty"
 
 
 def _scalar(text: str, field) -> object:
@@ -78,38 +94,26 @@ def _indices(text: str, field) -> list:
 
 def _cmd_classify(args, field, doc):
     rep = conjugacy.classify(args.f)
-    doc.add("is_cyclic", str(rep.is_cyclic).lower())
-    doc.add("is_dihedral", str(rep.is_dihedral).lower())
-    doc.add("conj_to_power", _fmt_linear(rep.conj_to_power))
-    if rep.conj_to_pm_chebyshev is None:
-        doc.add("conj_to_pm_chebyshev", "absent")
-    else:
-        sign, ell = rep.conj_to_pm_chebyshev
-        doc.add("conj_to_pm_chebyshev",
-                f"sign {scalar_str(sign)}, witness {ell.to_poly()}")
-    doc.add("disintegrated", str(rep.disintegrated).lower())
+    doc.fields(rep, ("is_cyclic", "is_dihedral", "conj_to_power"))
+    cheb = rep.conj_to_pm_chebyshev
+    doc.add("conj_to_pm_chebyshev", None if cheb is None else
+            f"sign {scalar_str(cheb[0])}, witness {cheb[1]}")
+    doc.add("disintegrated", rep.disintegrated)
     for h in rep.hints:
         doc.item(h)
 
 
 def _cmd_decompose(args, field, doc):
     chains = decompose.complete_decompositions(args.f, args.degree_cap)
-    doc.add("chains", len(chains))
-    for ch in chains:
-        doc.item(" o ".join(f"({p})" for p in ch.factors))
+    doc.items("chains", (" o ".join(f"({p})" for p in ch.factors)
+                         for ch in chains))
 
 
 def _cmd_engstrom(args, field, doc):
     a, b, c, d = args.a, args.b, args.c, args.d
     cert = decompose.engstrom_refine(a, b, c, d)
-    doc.add("g", cert.g)
-    doc.add("h", cert.h)
-    doc.add("a_hat", cert.a_hat)
-    doc.add("b_hat", cert.b_hat)
-    doc.add("c_hat", cert.c_hat)
-    doc.add("d_hat", cert.d_hat)
-    doc.add("ell", "absent" if cert.ell is None else cert.ell.to_poly())
-    doc.add("verified", str(cert.verify(a, b, c, d)).lower())
+    doc.fields(cert)
+    doc.add("verified", cert.verify(a, b, c, d))
 
 
 def _cmd_gamma(args, field, doc):
@@ -117,10 +121,9 @@ def _cmd_gamma(args, field, doc):
     doc.add("kind", grp.kind)
     if grp.kind == "Finite":
         doc.add("order", grp.order())
-        doc.add("elements", "")
-        for ell, L in zip(grp.elements, grp.companions):
-            doc.item(f"{ell.to_poly()} (companion {L.to_poly()})")
-        doc.add("generator", _fmt_linear(grp.generator))
+        doc.items("elements", (f"{ell} (companion {L})" for ell, L in
+                               zip(grp.elements, grp.companions)), head="")
+        doc.add("generator", grp.generator)
         doc.add("extension_hint",
                 "none" if grp.extension_hint is None else grp.extension_hint)
 
@@ -128,42 +131,31 @@ def _cmd_gamma(args, field, doc):
 def _cmd_m_infinity(args, field, doc):
     grp = symmetry.m_infinity(args.f, args.iter_bound)
     doc.add("order", grp.order())
-    doc.add("elements", "")
-    for ell in grp.elements:
-        doc.item(ell.to_poly())
-    doc.add("generator", _fmt_linear(grp.generator))
+    doc.items("elements", grp.elements, head="")
+    doc.add("generator", grp.generator)
     doc.add("stable_at", "none" if grp.stable_at is None else grp.stable_at)
 
 
 def _cmd_semiconj_check(args, field, doc):
     w = semiconj.SemiconjWitness(args.f, args.p, args.eta)
-    doc.add("holds", str(semiconj.semiconj_check(w)).lower())
+    doc.add("holds", semiconj.semiconj_check(w))
 
 
 def _cmd_solve_eta(args, field, doc):
-    eta = semiconj.solve_eta(args.f, args.p)
-    doc.add("eta", "absent" if eta is None else eta)
+    doc.add("eta", semiconj.solve_eta(args.f, args.p))
 
 
 def _cmd_solve_p(args, field, doc):
-    sols = semiconj.solve_p(args.f, args.eta, args.deg_bound)
-    doc.add("solutions", len(sols))
-    for p in sols:
-        doc.item(p)
+    doc.items("solutions", semiconj.solve_p(args.f, args.eta, args.deg_bound))
 
 
 def _cmd_inou(args, field, doc):
     w = semiconj.SemiconjWitness(args.f, args.p, args.eta)
     nf = semiconj.inou_normal_form(w)
-    doc.add("ell1", nf.ell1.to_poly())
-    doc.add("ell2", nf.ell2.to_poly())
-    doc.add("b", nf.b)
-    doc.add("c", nf.c)
-    doc.add("P", nf.P)
-    doc.add("congruence_flag", str(nf.congruence_flag).lower())
+    doc.fields(nf, ("ell1", "ell2", "b", "c", "P", "congruence_flag"))
     for k in sorted(nf.detail):
         doc.add(k, nf.detail[k], indent=1)
-    doc.add("verified", str(nf.verify(w)).lower())
+    doc.add("verified", nf.verify(w))
 
 
 def _cmd_common_semiconj(args, field, doc):
@@ -172,18 +164,13 @@ def _cmd_common_semiconj(args, field, doc):
     if w is None:
         doc.add("witness", "absent at caps")
         return
-    doc.add("N", w.N)
-    doc.add("eta", w.eta)
-    doc.add("p", w.p)
-    doc.add("q", w.q)
-    doc.add("verified", str(w.verify(f, g)).lower())
+    doc.fields(w)
+    doc.add("verified", w.verify(f, g))
 
 
 def _cmd_approx_classes(args, field, doc):
     res = semiconj.approx_classes(args.f, args.nmax, args.deg_cap)
-    doc.add("classes", len(res.classes))
-    for cls in res.classes:
-        doc.item(",".join(str(i) for i in cls))
+    doc.items("classes", map(_joined, res.classes))
     for root in sorted(res.representatives):
         theta, N, ps = res.representatives[root]
         doc.add(f"class_{root}_theta", theta)
@@ -203,17 +190,14 @@ def _cmd_curve_period(args, field, doc):
         doc.add("period", f"not periodic within {args.nmax}")
         return
     doc.add("period", cert.period)
-    doc.add("image_chain", "")
-    for cur in cert.image_chain:
-        doc.item(cur)
-    doc.add("verified", str(cert.verify(f, g)).lower())
+    doc.items("image_chain", cert.image_chain, head="")
+    doc.add("verified", cert.verify(f, g))
 
 
 def _cmd_ms_diagonal(args, field, doc):
     out = msclass.ms_diagonal_curves(args.f, args.deg_cap, args.iter_bound)
-    doc.add("curves", len(out))
-    for dc in out:
-        doc.item(f"{dc.curve} (g = {dc.g}, period {dc.certificate.period})")
+    doc.items("curves", (f"{dc.curve} (g = {dc.g}, period "
+                         f"{dc.certificate.period})" for dc in out))
 
 
 def _cmd_bound(args, field, doc):
@@ -221,21 +205,15 @@ def _cmd_bound(args, field, doc):
     trace = []
     val = bound(args.d, args.n, trace)
     doc.add("value", val)
-    doc.add("exact", str(val.is_exact()).lower())
-    doc.add("trace", "")
-    for label, value in trace:
-        doc.item(f"{label} = {value}")
-
-
-def _fmt_point(pt) -> str:
-    return f"({scalar_str(pt[0])}, {scalar_str(pt[1])})"
+    doc.add("exact", val.is_exact())
+    doc.items("trace", (f"{label} = {value}" for label, value in trace),
+              head="")
 
 
 def _cmd_orbit(args, field, doc):
     orb = dml.orbit(args.f1, args.f2, args.alpha, args.n, args.height_cap)
-    doc.add("points", len(orb.points))
-    for p in orb.points:
-        doc.item(f"{p.index}: {_fmt_point(p.point)}")
+    doc.items("points", (f"{p.index}: ({scalar_str(p.point[0])}, "
+                         f"{scalar_str(p.point[1])})" for p in orb.points))
     doc.add("truncated_at",
             "none" if orb.truncated_at is None else orb.truncated_at)
 
@@ -243,7 +221,7 @@ def _cmd_orbit(args, field, doc):
 def _cmd_return_set(args, field, doc):
     rs = dml.return_set_exact(args.f1, args.f2, args.alpha, args.curve,
                               args.n, args.height_cap)
-    doc.add("indices", ",".join(str(i) for i in rs.indices) or "empty")
+    doc.add("indices", _joined(rs.indices))
     doc.add("truncated_at",
             "none" if rs.truncated_at is None else rs.truncated_at)
 
@@ -255,10 +233,9 @@ def _cmd_return_set_modp(args, field, doc):
     for p, hits in dml.return_sets_modp(args.f1, args.f2, args.alpha,
                                         args.curve, args.primes,
                                         args.n).items():
-        doc.add(f"mod_{p}", ",".join(str(i) for i in hits) or "empty")
+        doc.add(f"mod_{p}", _joined(hits))
         inter = set(hits) if inter is None else inter & set(hits)
-    doc.add("intersection",
-            ",".join(str(i) for i in sorted(inter)) or "empty")
+    doc.add("intersection", _joined(sorted(inter)))
 
 
 def _cmd_progressions(args, field, doc):
@@ -266,9 +243,7 @@ def _cmd_progressions(args, field, doc):
     if progs is None:
         doc.add("progressions", "absent (no eventually periodic fit)")
         return
-    doc.add("progressions", len(progs))
-    for q in progs:
-        doc.item(f"{{{q.a} + {q.b}k}}")
+    doc.items("progressions", (f"{{{q.a} + {q.b}k}}" for q in progs))
 
 
 def _cmd_preperiodic(args, field, doc):
@@ -276,14 +251,11 @@ def _cmd_preperiodic(args, field, doc):
     res = dml.preperiodic_check(f, args.a, args.n, args.height_cap)
     doc.add("kind", res.kind)
     if res.kind == "Preperiodic":
-        doc.add("tail", res.tail)
-        doc.add("period", res.period)
+        doc.fields(res, ("tail", "period"))
     elif res.kind == "Escape":
         cert = res.certificate
-        doc.add("index", cert.index)
-        doc.add("radius", cert.radius)
-        doc.add("value", scalar_str(cert.value))
-        doc.add("verified", str(cert.verify(f)).lower())
+        doc.fields(cert)
+        doc.add("verified", cert.verify(f))
 
 
 # -- argument plumbing ------------------------------------------------------

@@ -32,6 +32,20 @@ CYCLOTOMIC_DEGREE_CAP = 256
 KRONECKER_MIN_LEN = 8
 
 
+def power(x, e: int, one, mul):
+    """x^e (e >= 0) by square and multiply from `one`, with the product
+    `mul`: the products run in the order of e's bits, low to high, and the
+    square after the top bit, which nothing uses, is skipped."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return out
+
+
 def dense_mul(a, b, zero, top=None) -> list:
     """Product of ascending coefficient lists.
 
@@ -581,14 +595,7 @@ class CycElem:
     def __pow__(self, e: int):
         if e < 0:
             return (self ** (-e)).inverse()
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self.field.one(), mul)
 
     def inverse(self):
         """1/self: den/n for a rational n/den, else _sequence_inverse."""
@@ -771,7 +778,8 @@ def nth_roots(c, n: int, field: FieldDescriptor) -> list:
     """All in-field x with x^n = c that have the form (rational)*(root of unity).
 
     For n = 1 that is c itself, whatever its form.  Over Q this is
-    complete.  Over Q(zeta_m) other roots are not found.
+    complete.  Over Q(zeta_m) other roots are not found.  Each r = w*q,
+    q^n = c/w^n exactly, has r^n = w^n*q^n = c, so no root is re-checked.
     """
     if field.kind == RATIONALS:
         return rational_nth_roots(Fraction(c), n)
@@ -786,7 +794,7 @@ def nth_roots(c, n: int, field: FieldDescriptor) -> list:
             continue
         for q in rational_nth_roots(ur, n):
             r = w * q
-            if r ** n == c and r not in found:
+            if r not in found:
                 found.append(r)
     found.sort(key=scalar_sort_key, reverse=True)
     return found

@@ -16,7 +16,7 @@ from operator import mul
 from .bivar import (BivarCurve, BivarPoly, _sample_points, bivar_squarefree,
                     interpolate_columns)
 from .conjugacy import classify
-from .decompose import left_factor_solve
+from .decompose import _is_indecomposable, left_factor_solve
 from .errors import (CollapsedImageError, HypothesisViolationError,
                      FieldExtensionRequiredError, ResourceCapError,
                      RittKitError)
@@ -24,7 +24,7 @@ from .field import _int_nth_root, scalar_sort_key
 from .poly import Poly, compose
 from .record import Record
 from .semiconj import solve_intertwiner
-from .symmetry import commutes_with_iterate, m_infinity
+from .symmetry import m_infinity
 
 IMAGE_DEGREE_CAP = 512
 
@@ -186,22 +186,26 @@ def graph_curve(h: Poly, orientation: str = "y") -> BivarCurve:
 def f_tilde_candidate(f: Poly, iter_bound: int) -> Poly:
     """Lowest-degree nonlinear polynomial commuting with an iterate of f.
 
-    f must be disintegrated.  Ritt (1923, "Permutable rational functions",
-    Trans. AMS 25, 399-448) shows that two permutable polynomials of
-    degree at least 2 have a common iterate, unless one linear conjugacy
-    takes both to powers of x or both to +-Chebyshev polynomials.  Every
-    f^(o k) is disintegrated with f, so a p of degree e that commutes with
-    it has p^(o a) = f^(o kb), and e^a = d^(kb), d = deg f.  When d is not
-    a perfect power, e is then a power of d, so no commuter has degree
-    2 <= e < d and the answer is f, found without a search.  Otherwise
-    each f^(o k), k <= iter_bound, is solved for commuters of degree
-    below d, defaulting to f.
+    f must be disintegrated, and so is every f^(o k).  By Ritt (1923,
+    "Permutable rational functions", Trans. AMS 25) a nonlinear p that
+    commutes with f^(o k) then has p^(o a) = mu o f^(o kb), mu linear: two
+    permutable polynomials share an iterate up to a linear map unless one
+    conjugacy takes both to powers of x or to +-Chebyshev maps.  So
+    (deg p)^a = d^(kb), and with d = deg f = r^t, r not a perfect power,
+    deg p is a power of r.  By Ritt's first theorem (1922, "Prime and
+    composite polynomials", Trans. AMS 23) the multisets D of degrees in
+    complete decompositions give a*D(p) = kb*D(f), so deg p >= d when f
+    is indecomposable.  When r = d or f is indecomposable the answer is
+    f, found without a search; otherwise each f^(o k), k <= iter_bound,
+    is solved for commuters of degree below d, keeping the first of least
+    degree (f by default), and the search stops at degree r.
     """
     if not classify(f).disintegrated:
         raise HypothesisViolationError(
             "f-tilde expects a disintegrated polynomial")
-    if all(_int_nth_root(f.degree, n) is None
-           for n in range(2, f.degree.bit_length())):
+    r = min(filter(None, (_int_nth_root(f.degree, n)
+                          for n in range(1, f.degree.bit_length()))))
+    if r == f.degree or _is_indecomposable(f):
         return f
     best = f
     F = Poly.x(f.field)
@@ -214,6 +218,8 @@ def f_tilde_candidate(f: Poly, iter_bound: int) -> Poly:
         for p in cands:
             if 2 <= p.degree < best.degree:
                 best = p
+        if best.degree == r:
+            break
     return best
 
 
@@ -227,6 +233,17 @@ def _poly_sort_key(p: Poly):
     return (p.degree, tuple(scalar_sort_key(c) for c in p.coeffs))
 
 
+def _add_periodic_graph(found: dict, h: Poly, orientation: str, f: Poly,
+                        g: Poly, N: int) -> None:
+    """Key the graph of h by its curve in found, with its certificate, if
+    it is new and curve_period finds a period <= N under (f, g)."""
+    curve = graph_curve(h, orientation)
+    if curve not in found:
+        cert = curve_period(curve, f, g, N)
+        if cert is not None:
+            found[curve] = DiagonalCurve(g=h, curve=curve, certificate=cert)
+
+
 def ms_diagonal_curves(f: Poly, deg_cap: int,
                        iter_bound: int | None = None) -> list:
     """Invariant diagonal-form curves y = g(x) and x = g(y) for (f, f).
@@ -235,6 +252,12 @@ def ms_diagonal_curves(f: Poly, deg_cap: int,
     f, composed on either side with iterates of the lowest-degree
     nonlinear commuter; each emitted curve carries a period certificate.
     f must be disintegrated (`f_tilde_candidate` raises otherwise).
+
+    The period comes from the graph pushes the certificate needs, with no
+    iterate of f: the image of y = g(x) under (f^(o n), f^(o n)) is
+    {(f^n(x), f^n(g(x)))}, the graph of g exactly when f^n o g = g o f^n,
+    and x = g(y) gives the same condition.  So `curve_period` to
+    iter_bound finds the least n at which g commutes with f^(o n).
     """
     if f.degree < 2:
         raise RittKitError("ms_diagonal_curves needs degree >= 2")
@@ -253,22 +276,11 @@ def ms_diagonal_curves(f: Poly, deg_cap: int,
                 if 1 <= gg.degree <= deg_cap and gg not in cands:
                     cands.append(gg)
             base = compose(ft, base)
-    out = []
-    seen = set()
+    found = {}
     for gg in sorted(cands, key=_poly_sort_key):
-        n = commutes_with_iterate(f, gg, iter_bound)
-        if n is None:
-            continue
         for orientation in ("y", "x"):
-            curve = graph_curve(gg, orientation)
-            if curve in seen:
-                continue
-            cert = curve_period(curve, f, f, n)
-            if cert is None:
-                continue
-            seen.add(curve)
-            out.append(DiagonalCurve(g=gg, curve=curve, certificate=cert))
-    return out
+            _add_periodic_graph(found, gg, orientation, f, f, iter_bound)
+    return list(found.values())
 
 
 def periodic_graph_search(f: Poly, g: Poly, deg_cap: int,
@@ -286,8 +298,7 @@ def periodic_graph_search(f: Poly, g: Poly, deg_cap: int,
         raise RittKitError("N_max and deg_cap must be >= 1")
     if f.degree != g.degree:
         return []
-    out = []
-    seen = set()
+    found = {}
     FN = GN = Poly.x(f.field)
     for N in range(1, N_max + 1):
         FN, GN = compose(f, FN), compose(g, GN)
@@ -297,12 +308,5 @@ def periodic_graph_search(f: Poly, g: Poly, deg_cap: int,
             except FieldExtensionRequiredError:
                 hs = []
             for h in hs:
-                curve = graph_curve(h, orientation)
-                if curve in seen:
-                    continue
-                cert = curve_period(curve, f, g, N)
-                if cert is None:
-                    continue
-                seen.add(curve)
-                out.append(DiagonalCurve(g=h, curve=curve, certificate=cert))
-    return out
+                _add_periodic_graph(found, h, orientation, f, g, N)
+    return list(found.values())

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .bivar import BivarCurve, BivarPoly
 from .errors import ParseError, ResourceCapError
-from .field import QQ, CycElem, FieldDescriptor, cyclotomic_field
+from .field import QQ, CycElem, FieldDescriptor, cyclotomic_field, power
 from .poly import DEGREE_CAP, Poly
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([xyz])|([()+\-*^/]))")
@@ -203,14 +203,7 @@ class _Parser:
             raise ResourceCapError(
                 f"exponent {n} gives degree {degree}, above the degree cap "
                 f"DEGREE_CAP = {DEGREE_CAP}")
-        out = self.const(1)
-        while n:                            # square and multiply
-            if n & 1:
-                out = self.product(out, base)
-            n >>= 1
-            if n:
-                base = self.product(base, base)
-        return out
+        return power(base, n, self.const(1), self.product)
 
     def atom(self) -> BivarPoly:
         tok = self.next()

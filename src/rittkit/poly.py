@@ -13,8 +13,8 @@ from operator import mul
 from .errors import FieldMismatchError, ResourceCapError, RittKitError
 from .field import (KRONECKER_MIN_LEN, QQ, CycElem, FieldDescriptor,
                     cyc_reduce, dense_divmod, dense_mul, int_horner, int_mul,
-                    int_pseudo_divmod, int_vector, scalar_str, signed_join,
-                    splitting_primes, splitting_tables)
+                    int_pseudo_divmod, int_vector, power, scalar_str,
+                    signed_join, splitting_primes, splitting_tables)
 from .record import Record, slot_setters
 
 DEGREE_CAP = 10_000
@@ -128,14 +128,7 @@ class Poly(Record):
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.constant(self.field, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return power(self, e, Poly.constant(self.field, 1), mul)
 
     def evaluate(self, v):
         """Horner evaluation at a scalar."""
@@ -577,18 +570,6 @@ def power_shape(f: Poly) -> tuple | None:
 
 # -- truncated reversed series: the top coefficients of powers and compositions
 
-def _series_pow(base: list, e: int, m: int, one, zero) -> list:
-    out = [one] + [zero] * m
-    cur = list(base)
-    while e:
-        if e & 1:
-            out = dense_mul(out, cur, zero, m)
-        e >>= 1
-        if e:
-            cur = dense_mul(cur, cur, zero, m)
-    return out
-
-
 def _rev_trunc(q: Poly, m: int) -> list:
     d = q.degree
     return [q.coeff(d - i) if d - i >= 0 else q.field.zero()
@@ -615,7 +596,8 @@ def _rev_compose_trunc(A: Poly, B: Poly, m: int) -> tuple:
         one, zero, den = 1, 0, da * db ** dA
     else:
         a, one, zero, den = A.coeffs, A.field.one(), A.field.zero(), 1
-    cur = _series_pow(rev, kmin, m, one, zero)
+    cur = power(rev, kmin, [one] + [zero] * m,
+                lambda u, v: dense_mul(u, v, zero, m))
     out = [zero] * (m + 1)
     for k in range(kmin, dA + 1):
         shift = (dA - k) * dB
