@@ -9,18 +9,15 @@ even integer; otherwise it stays symbolic and carries its meaning as data.
 from __future__ import annotations
 
 import math
+from functools import cached_property
+from itertools import islice
 
 from .record import Record
 
 EXACT_BIT_THRESHOLD = 10 ** 6
 LOG2_SATURATION = 1e308
 
-INT = "int"
-ADD = "add"
-MUL = "mul"
-POW = "pow"
-MAX = "max"
-HALF = "half"
+INT, ADD, MUL, POW, MAX, HALF = "int", "add", "mul", "pow", "max", "half"
 
 
 class ConstantExpr(Record):
@@ -84,8 +81,14 @@ class ConstantExpr(Record):
         """(lo, hi) with lo <= log2(value) <= hi, up to float rounding.
 
         A power whose exponent may pass 2^1000 clamps the exponent there:
-        lo stays a lower bound and hi becomes inf.
+        lo stays a lower bound and hi becomes inf.  A node computes them
+        once: the bound recurrence shares its terms, and the tree of
+        c1(d,k) has about 2^k nodes.
         """
+        return self._log2
+
+    @cached_property
+    def _log2(self) -> tuple:
         if self.kind == INT:
             if self.value <= 0:
                 return float("-inf"), float("-inf")
@@ -94,59 +97,51 @@ class ConstantExpr(Record):
                 x = math.log2(self.value)
                 return x, x
             return float(bits - 1), float(bits)
-        kids = [c.log2_bounds() for c in self.children]
-        if self.kind == ADD:
-            return (max(lo for lo, _ in kids),
-                    max(hi for _, hi in kids) + 1.0)
-        if self.kind == MUL:
-            return (min(LOG2_SATURATION, sum(lo for lo, _ in kids)),
-                    sum(hi for _, hi in kids))
-        if self.kind == POW:
-            (blo, bhi), (elo, ehi) = kids
-            exp = self.children[1]
-            if exp.is_exact() and exp.value.bit_length() <= 1000:
-                e_lo = e_hi = float(exp.value)
-            else:
-                e_lo = 2.0 ** min(1000.0, elo)
-                e_hi = 2.0 ** ehi if ehi <= 1000.0 else float("inf")
-            return min(LOG2_SATURATION, e_lo * blo), e_hi * bhi
-        if self.kind == MAX:
-            return max(lo for lo, _ in kids), max(hi for _, hi in kids)
         if self.kind == HALF:
-            return kids[0][0] - 1.0, kids[0][1] - 1.0
-        raise ValueError(self.kind)
+            lo, hi = self.children[0].log2_bounds()
+            return lo - 1.0, hi - 1.0
+        (alo, ahi), (blo, bhi) = (c.log2_bounds() for c in self.children)
+        if self.kind == ADD:
+            return max(alo, blo), max(ahi, bhi) + 1.0
+        if self.kind == MUL:
+            return min(LOG2_SATURATION, alo + blo), ahi + bhi
+        if self.kind == MAX:
+            return max(alo, blo), max(ahi, bhi)
+        exp = self.children[1]  # a power: base a, exponent b
+        if exp.is_exact() and exp.value.bit_length() <= 1000:
+            e_lo = e_hi = float(exp.value)
+        else:
+            e_lo = 2.0 ** min(1000.0, blo)
+            e_hi = 2.0 ** bhi if bhi <= 1000.0 else float("inf")
+        return min(LOG2_SATURATION, e_lo * alo), e_hi * ahi
 
     def normalized(self) -> "ConstantExpr":
         """Re-run constructor simplification bottom-up."""
         if self.kind == INT:
             return self
-        kids = tuple(c.normalized() for c in self.children)
-        if self.kind == ADD:
-            return ConstantExpr.add(*kids)
-        if self.kind == MUL:
-            return ConstantExpr.mul(*kids)
-        if self.kind == POW:
-            return ConstantExpr.power(*kids)
-        if self.kind == MAX:
-            return ConstantExpr.maximum(*kids)
-        return ConstantExpr.half(*kids)
+        return _KINDS[self.kind][0](*(c.normalized() for c in self.children))
 
     def __str__(self):
+        return self.text({})
+
+    def text(self, labels: dict) -> str:
+        """The printed form, with a child whose id is a key of labels
+        printed as its label."""
         if self.kind == INT:
             if self.value.bit_length() > 256:
                 return (f"2^~{self.log2_bounds()[0]:.1f} "
                         f"({self.value.bit_length()} bits)")
             return str(self.value)
-        a = self.children
-        if self.kind == ADD:
-            return f"({a[0]} + {a[1]})"
-        if self.kind == MUL:
-            return f"({a[0]} * {a[1]})"
-        if self.kind == POW:
-            return f"({a[0]})^({a[1]})"
-        if self.kind == MAX:
-            return f"max({a[0]}, {a[1]})"
-        return f"({a[0]})/2"
+        return _KINDS[self.kind][1].format(
+            *(labels.get(id(c)) or c.text(labels) for c in self.children))
+
+
+# each symbolic kind: its constructor and its printed form
+_KINDS = {ADD: (ConstantExpr.add, "({} + {})"),
+          MUL: (ConstantExpr.mul, "({} * {})"),
+          POW: (ConstantExpr.power, "({})^({})"),
+          MAX: (ConstantExpr.maximum, "max({}, {})"),
+          HALF: (ConstantExpr.half, "({})/2")}
 
 
 def compare(a: ConstantExpr, b: ConstantExpr) -> int | None:
@@ -177,39 +172,38 @@ def _clears(lo: float, hi: float) -> bool:
     return lo - hi > 2.0 + 1e-9 * abs(lo)
 
 
+def _terms(d: int, n: int):
+    """(label, term) for c(d,1), then c1(d,k) and c(d,k) for k = 2..n.
+
+    Each term is built from the one before and shared by those after:
+    c1(d,2) = 2 d^4, c1(d,k) = c1(d,k-1) * 2 * d^(4 c1(d,k-1)), and
+    c(d,1) = 1, c(d,k) = max(c(d,k-1)^(k-1), d^(c1(d,k)) / 2).
+    """
+    E, num = ConstantExpr, ConstantExpr.integer
+    c, c1 = num(1), E.mul(num(2), E.power(num(d), num(4)))
+    yield f"c({d},1)", c
+    for k in range(2, n + 1):
+        if k > 2:
+            c1 = E.mul(c1, E.mul(num(2), E.power(num(d), E.mul(num(4), c1))))
+        yield f"c1({d},{k})", c1
+        c = E.maximum(E.power(c, num(k - 1)), E.half(E.power(num(d), c1)))
+        yield f"c({d},{k})", c
+
+
 def bound_c1(d: int, n: int, trace: list | None = None) -> ConstantExpr:
-    """c1(d,2) = 2 d^4; c1(d,n) = c1(d,n-1) * 2 * d^(4 c1(d,n-1))."""
+    """c1(d,n); trace gets c1(d,2), ..., c1(d,n)."""
     if d < 2 or n < 2:
         raise ValueError("bound_c1 needs d >= 2 and n >= 2")
-    cur = ConstantExpr.mul(ConstantExpr.integer(2),
-                           ConstantExpr.power(ConstantExpr.integer(d),
-                                              ConstantExpr.integer(4)))
-    if trace is not None:
-        trace.append((f"c1({d},2)", cur))
-    for k in range(3, n + 1):
-        expo = ConstantExpr.mul(ConstantExpr.integer(4), cur)
-        cur = ConstantExpr.mul(
-            cur, ConstantExpr.mul(ConstantExpr.integer(2),
-                                  ConstantExpr.power(ConstantExpr.integer(d),
-                                                     expo)))
-        if trace is not None:
-            trace.append((f"c1({d},{k})", cur))
-    return cur
+    trace = [] if trace is None else trace
+    # c1(d,k) is term 2k - 3: the odd ones up to c1(d,n)
+    trace.extend(islice(_terms(d, n), 1, 2 * n - 2, 2))
+    return trace[-1][1]
 
 
 def bound_c(d: int, n: int, trace: list | None = None) -> ConstantExpr:
-    """c(d,1) = 1; c(d,n) = max(c(d,n-1)^(n-1), d^(c1(d,n)) / 2)."""
+    """c(d,n); trace gets c(d,1), then c1(d,k) and c(d,k) for k = 2..n."""
     if d < 2 or n < 1:
         raise ValueError("bound_c needs d >= 2 and n >= 1")
-    cur = ConstantExpr.integer(1)
-    if trace is not None:
-        trace.append((f"c({d},1)", cur))
-    for k in range(2, n + 1):
-        c1 = bound_c1(d, k, trace)
-        left = ConstantExpr.power(cur, ConstantExpr.integer(k - 1))
-        right = ConstantExpr.half(
-            ConstantExpr.power(ConstantExpr.integer(d), c1))
-        cur = ConstantExpr.maximum(left, right)
-        if trace is not None:
-            trace.append((f"c({d},{k})", cur))
-    return cur
+    trace = [] if trace is None else trace
+    trace.extend(_terms(d, n))
+    return trace[-1][1]

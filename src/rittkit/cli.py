@@ -204,9 +204,11 @@ def _cmd_bound(args, field, doc):
     bound = bounds.bound_c if args.command == "bound-c" else bounds.bound_c1
     trace = []
     val = bound(args.d, args.n, trace)
-    doc.add("value", val)
+    # a symbolic subterm that is a trace term prints as its label
+    labels = {id(t): label for label, t in trace if not t.is_exact()}
+    doc.add("value", val.text(labels))
     doc.add("exact", val.is_exact())
-    doc.items("trace", (f"{label} = {value}" for label, value in trace),
+    doc.items("trace", (f"{label} = {t.text(labels)}" for label, t in trace),
               head="")
 
 

@@ -28,6 +28,14 @@ from .record import Record
 DECOMP_DEGREE_CAP = 64
 
 
+def _lead_roots(lead, n: int, field, message: str) -> list:
+    """The in-field roots a of a^n = lead; raises if there are none."""
+    roots = nth_roots(lead, n, field)
+    if not roots:
+        raise FieldExtensionRequiredError(message, equation=f"t^{n} = {lead}")
+    return roots
+
+
 def right_factor_solve(F: Poly, g: Poly) -> list:
     """All h in the current field with F = g o h.
 
@@ -40,14 +48,9 @@ def right_factor_solve(F: Poly, g: Poly) -> list:
     if F.degree < 1 or F.degree % g.degree:
         raise RittKitError("degree of g does not divide degree of F")
     field = F.field
-    e = F.degree // g.degree
-    m = g.degree
-    lead_eq = F.leading() / g.leading()
-    leads = nth_roots(lead_eq, m, field)
-    if not leads:
-        raise FieldExtensionRequiredError(
-            "leading coefficient equation has no in-field root",
-            equation=f"t^{m} = {lead_eq}")
+    m, e = g.degree, F.degree // g.degree
+    leads = _lead_roots(F.leading() / g.leading(), m, field,
+                        "leading coefficient equation has no in-field root")
     root = Poly.make(field, _top_root(F, m, e + 1)[::-1])
     c = g.coeff(m - 1) / (m * g.leading())
     out = []
@@ -292,14 +295,6 @@ class PowerFormSplit(Record):
     gcd_k_ok: bool
 
 
-def _scaled_root(R: Poly, lead, n: int, message: str) -> Poly:
-    """The in-field n-th root R.scale(a) of lead*R^n with the first a."""
-    roots = nth_roots(lead, n, R.field)
-    if not roots:
-        raise FieldExtensionRequiredError(message, equation=f"t^{n} = {lead}")
-    return R.scale(roots[0])
-
-
 def verify_power_form(F: Poly, s: int, n: int) -> Poly:
     """The P with F = x^s P(x)^n, P(0) != 0; raises if there is none."""
     if F.is_zero() or F.multiplicity_at_zero() != s:
@@ -309,8 +304,9 @@ def verify_power_form(F: Poly, s: int, n: int) -> Poly:
     if split is None:
         raise HypothesisViolationError(
             "F/x^s is not an n-th power over any field")
-    return _scaled_root(split[1], F.leading(), n,
-                        "F/x^s is an n-th power only after a field extension")
+    return split[1].scale(_lead_roots(
+        F.leading(), n, F.field,
+        "F/x^s is an n-th power only after a field extension")[0])
 
 
 def decompose_power_form(A: Poly, B: Poly, s: int, n: int) -> PowerFormSplit:
@@ -343,8 +339,8 @@ def decompose_power_form(A: Poly, B: Poly, s: int, n: int) -> PowerFormSplit:
         raise HypothesisViolationError(
             "outer factor does not fit the x^j P1(x)^n shape")
     j, R1 = outer
-    P1 = _scaled_root(R1, D.leading(), n,
-                      "outer P1 requires an n-th root outside the field")
+    P1 = R1.scale(_lead_roots(D.leading(), n, field, "outer P1 requires "
+                              "an n-th root outside the field")[0])
     return PowerFormSplit(j=j, k=k, P1=P1, P2=P2, ell=ell,
                           gcd_j_ok=gcd(j, n) == 1,
                           gcd_k_ok=gcd(k, n) == 1)

@@ -9,6 +9,7 @@ and preperiodicity checks with escape certificates.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from .bivar import BivarCurve
 from .errors import BadReductionError, ResourceCapError, RittKitError
@@ -120,12 +121,7 @@ def return_set_modp(F1: Poly, F2: Poly, alpha: tuple, C: BivarCurve,
     y0 = _reduce_scalar(alpha[1], p, "alpha")
     hits = []
     for n in range(N + 1):
-        val = 0
-        ypow = 1
-        for row in grid:
-            val = (val + ypow * int_horner(row, x0, p)) % p
-            ypow = ypow * y0 % p
-        if val == 0:
+        if not int_horner([int_horner(row, x0, p) for row in grid], y0, p):
             hits.append(n)
         if n < N:
             x0, y0 = int_horner(f1, x0, p), int_horner(f2, y0, p)
@@ -170,31 +166,48 @@ def progression_decompose(S, horizon: int):
     period <= horizon // 3; among the fits, the fewest progressions win,
     then the lexicographically smallest list.  Each fit regenerates S:
     bits has period per from tail on, and tail + per <= horizon.
+
+    One pass finds every tail: with z[per] the longest common prefix of
+    the reversed bits and their shift by per (Gusfield 1997), bits[i] ==
+    bits[i + per] holds exactly for i >= horizon + 1 - per - z[per].  The
+    fit at per lists a singleton for each member below the tail and a
+    progression for each member in [tail, tail + per): in order, the
+    first j members of S, j = |S below tail + per|.  So fits of one count
+    j differ only in the steps, i zeros (the singletons) and then j - i
+    copies of per, and the least list is the least key (j, -i, per).
     """
     S = set(S)
     if any(n < 0 or n > horizon for n in S):
         raise RittKitError("S must lie in [0, horizon]")
     bits = [1 if n in S else 0 for n in range(horizon + 1)]
-    best = None
-    for per in range(1, horizon // 3 + 1):
-        tail = 0
-        for i in range(horizon - per, -1, -1):
-            if bits[i] != bits[i + per]:
-                tail = i + 1
-                break
-        # both the preperiod and the period must fit well inside the
-        # horizon, otherwise any set decomposes into stray singletons
-        if tail > horizon // 3 or tail + per > horizon:
-            continue
-        progs = [Progression(n, 0) for n in sorted(S) if n < tail]
-        for r in range(tail, tail + per):
-            if bits[r]:
-                progs.append(Progression(r, per))
-        progs.sort(key=lambda q: (q.a, q.b))
-        key = (len(progs), tuple((q.a, q.b) for q in progs))
-        if best is None or key < best[0]:
-            best = (key, progs)
-    return None if best is None else best[1]
+    below = list(accumulate(bits, initial=0))  # below[t] = |S below t|
+    tails = [horizon + 1 - per - z for per, z in
+             enumerate(_common_prefixes(bits[::-1], horizon // 3 + 1))]
+    # both the preperiod and the period must fit well inside the horizon,
+    # otherwise any set decomposes into stray singletons
+    best = min(((below[t + per], -below[t], per) for per, t in enumerate(tails)
+                if per and t <= horizon // 3 and t + per <= horizon),
+               default=None)
+    if best is None:
+        return None
+    j, minus_i, per = best
+    return [Progression(a, 0 if k < -minus_i else per)
+            for k, a in enumerate(sorted(S)[:j])]
+
+
+def _common_prefixes(s: list, m: int) -> list:
+    """z[k] = the longest common prefix of s and s[k:], for k < m: the
+    Z-algorithm (Gusfield 1997), in time linear in len(s)."""
+    z = [len(s)] + [0] * (m - 1)
+    left = right = 0  # s[left:right] matches s[:right - left]
+    for k in range(1, m):
+        n = min(right - k, z[k - left]) if k < right else 0
+        while k + n < len(s) and s[n] == s[k + n]:
+            n += 1
+        z[k] = n
+        if k + n > right:
+            left, right = k, k + n
+    return z
 
 
 class EscapeCertificate(Record):

@@ -130,17 +130,12 @@ class PeriodCertificate(Record):
     image_chain: tuple  # image_chain[0] = curve, image_chain[period] = curve
 
     def verify(self, f: Poly, g: Poly) -> bool:
-        if self.period < 1 or len(self.image_chain) != self.period + 1:
-            return False
-        if self.image_chain[0] != self.curve:
-            return False
-        for k in range(1, self.period + 1):
-            if curve_image(self.image_chain[k - 1], f, g) != self.image_chain[k]:
-                return False
-        if self.image_chain[self.period] != self.curve:
-            return False
-        return all(self.image_chain[k] != self.curve
-                   for k in range(1, self.period))
+        chain = self.image_chain
+        return (self.period >= 1 and len(chain) == self.period + 1
+                and chain[0] == chain[-1] == self.curve
+                and self.curve not in chain[1:-1]
+                and all(curve_image(a, f, g) == b
+                        for a, b in zip(chain, chain[1:])))
 
 
 def curve_period(C: BivarCurve, f: Poly, g: Poly, N_max: int,
