@@ -122,52 +122,57 @@ def classify(f: Poly) -> ShapeReport:
         hints=tuple(hints))
 
 
-def _scale_polynomial(f: Poly, g: Poly):
+def _scale_polynomial(f: Poly, g: Poly, forms: tuple | None = None):
     """(G, v): the scales u of inner maps u*x + v(u) that can carry f to g.
 
-    With (s, F), (t, H) the centred forms of f and g and v(u) = t*u - s,
-    L2 o f o (u*x + v(u)) = g reads L2' o F o (u*x) = H, whose equations
-    are g_d*F_i*u^i = f_d*H_i*u^d for 1 <= i <= d-2.  G is their monic
-    gcd, zero when every u passes (d <= 2, or f and g cyclic).
+    With (s, F), (t, H) the centred forms of f and g (`forms`, when the
+    caller holds them) and v(u) = t*u - s, L2 o f o (u*x + v(u)) = g
+    reads L2' o F o (u*x) = H, whose equations are
+    g_d*F_i*u^i = f_d*H_i*u^d for 1 <= i <= d-2.  G is their monic gcd,
+    zero when every u passes (d <= 2, or f and g cyclic).
     """
-    s, F = centred(f)
-    t, H = centred(g)
+    (s, F), (t, H) = forms or (centred(f), centred(g))
     fd, gd = f.leading(), g.leading()
     G = _binomial_gcd(f.field, [(gd * F.coeff(i), i, fd * H.coeff(i),
                                  f.degree) for i in range(1, f.degree - 1)])
     return G, Poly.make(f.field, [-s, t])
 
 
-def _scale_maps(f: Poly, g: Poly, v: Poly, u) -> tuple:
-    """(L1, M) with f o L1 = M o g, for (G, v) = _scale_polynomial(f, g)
-    and u a nonzero root of G (any u when G is zero).
+def _scale_maps(centred_f: tuple, centred_g: tuple, u) -> tuple:
+    """(L1, M) with f o L1 = M o g, for the centred forms (s, F) of f and
+    (t, H) of g and u a nonzero root of G of `_scale_polynomial` (any u
+    when G is zero).
 
-    L1 = u*x + v(u) maps -t to -s.  u satisfies every equation of G, and
-    F_(d-1) = H_(d-1) = 0, so F(u*x) - F_0 = c*(H - H_0) with
+    L1 = u*x + t*u - s maps -t to -s.  u satisfies every equation of G,
+    and F_(d-1) = H_(d-1) = 0, so F(u*x) - F_0 = c*(H - H_0) with
     c = f_d*u^d/g_d.  As f o L1 = F(u*(x + t)) - s and g = H(x + t) - t,
-    f o L1 = f(-s) + c*(g - g(-t)): M = f(-s) + c*(y - g(-t)), read off
-    with two Horner evaluations and no composition.
+    f o L1 = f(-s) + c*(g - g(-t)): M = f(-s) + c*(y - g(-t)), with
+    f(-s) = F_0 - s and g(-t) = H_0 - t read off the centred forms, so
+    neither f nor g is evaluated or composed.
     """
-    s, t = -v.coeff(0), v.coeff(1)
-    c = f.leading() * u ** f.degree / g.leading()
-    return (LinearPoly.make(f.field, u, v.evaluate(u)),
-            LinearPoly.make(f.field, c, f.evaluate(-s) - c * g.evaluate(-t)))
+    (s, F), (t, H) = centred_f, centred_g
+    c = F.leading() * u ** F.degree / H.leading()
+    return (LinearPoly.make(F.field, u, t * u - s),
+            LinearPoly.make(F.field, c, F.constant_term() - s
+                            - c * (H.constant_term() - t)))
 
 
 def equivalence_witness(f: Poly, g: Poly):
     """(L1, L2) with L2 o f o L1 = g, or None: L2 = g o f^-1 in degree 1.
 
     Above it any nonzero root u of G (u = 1 when G is zero) gives L1 and
-    L2 = M^-1 by _scale_maps: None means G has no nonzero in-field root.
+    L2 = M^-1 by _scale_maps, from the centred forms that G is read off:
+    None means G has no nonzero in-field root.
     """
     if f.degree != g.degree or f.degree < 1:
         raise RittKitError("equivalence needs equal degrees >= 1")
     if f.degree == 1:
         return (LinearPoly.identity(f.field), LinearPoly.from_poly(g).after(
             LinearPoly.from_poly(f).inverse()))
-    G, v = _scale_polynomial(f, g)
+    forms = centred(f), centred(g)
+    G = _scale_polynomial(f, g, forms)[0]
     roots = [f.field.one()] if G.is_zero() else _nonzero_roots(G)
     if not roots:
         return None
-    L1, M = _scale_maps(f, g, v, min(roots, key=scalar_sort_key))
+    L1, M = _scale_maps(*forms, min(roots, key=scalar_sort_key))
     return L1, M.inverse()

@@ -22,7 +22,8 @@ from math import gcd
 from .errors import (FieldExtensionRequiredError, HypothesisViolationError,
                      ResourceCapError, RittKitError)
 from .field import dense_digits, nth_roots, scalar_sort_key
-from .poly import LinearPoly, Poly, _top_root, compose, power_form
+from .poly import (LinearPoly, Poly, _compose_vec, _same, _top_root, _vector,
+                   compose, power_form)
 from .record import Record
 
 DECOMP_DEGREE_CAP = 64
@@ -42,6 +43,9 @@ def right_factor_solve(F: Poly, g: Poly) -> list:
     The top e+1 coefficients of g o h are those of g_m*(h + c)^m with
     c = g_(m-1)/(m*g_m), so each lead a with a^m = lc(F)/g_m gives the one
     candidate h = a*rev(P) - c, P the monic m-th root series of F's top.
+    The check g o h == F composes on integer vectors over Q
+    (`poly._compose_vec`) and compares the two (integers, denominator)
+    pairs by cross-multiplication: exact, with no Fraction built.
     """
     if g.degree < 1:
         raise RittKitError("left factor must be nonconstant")
@@ -53,10 +57,11 @@ def right_factor_solve(F: Poly, g: Poly) -> list:
                         "leading coefficient equation has no in-field root")
     root = Poly.make(field, _top_root(F, m, e + 1)[::-1])
     c = g.coeff(m - 1) / (m * g.leading())
+    G, target = _vector(g), _vector(F)
     out = []
     for a in leads:
         cand = root.scale(a) - c
-        if compose(g, cand) == F and cand not in out:
+        if _same(_compose_vec(G, _vector(cand)), target) and cand not in out:
             out.append(cand)
     return out
 

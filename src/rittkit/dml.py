@@ -26,6 +26,13 @@ DEFAULT_HEIGHT_CAP = 4096
 # 0.3 s; N = 10^6 took 2.6 s and printed a 7 MB line.
 MODP_WORK_CAP = 1_000_000
 
+# Largest (N + 1) * (terms of F1 and F2, and of C for return_set_exact)
+# * phi(m) in orbit and return_set_exact: each exact orbit step evaluates
+# F1 and F2, and a return set tests the point against C, one Horner term
+# per coefficient, which over Q(zeta m) has phi(m) rational coordinates.
+# The README lists the slowest shapes measured at the cap.
+ORBIT_WORK_CAP = 100_000
+
 
 def _height_bits(v) -> int:
     fr = getattr(v, "coeffs", None)
@@ -52,6 +59,8 @@ def orbit(F1: Poly, F2: Poly, alpha: tuple, N: int,
         raise RittKitError("N must be >= 0")
     if height_cap < 1:
         raise RittKitError("height_cap must be >= 1")
+    _check_work(N, (len(F1.coeffs) + len(F2.coeffs)) * F1.field.degree,
+                ORBIT_WORK_CAP)
     field = F1.field
     x0 = field.coerce(alpha[0])
     y0 = field.coerce(alpha[1])
@@ -74,6 +83,7 @@ class ReturnSet(Record):
 def return_set_exact(F1: Poly, F2: Poly, alpha: tuple, C: BivarCurve,
                      N: int, height_cap: int = DEFAULT_HEIGHT_CAP) -> ReturnSet:
     """{n <= N : the orbit point lands on C exactly}."""
+    _check_work(N, _terms(F1, F2, C) * F1.field.degree, ORBIT_WORK_CAP)
     orb = orbit(F1, F2, alpha, N, height_cap)
     hits = tuple(p.index for p in orb.points
                  if C.contains(p.point[0], p.point[1]))
@@ -116,7 +126,7 @@ def return_set_modp(F1: Poly, F2: Poly, alpha: tuple, C: BivarCurve,
              for i in range(C.deg_x + 1)] for j in range(C.deg_y + 1)]
     if all(c == 0 for row in grid for c in row):
         raise BadReductionError(f"curve polynomial vanishes mod {p}")
-    _check_modp_work(F1, F2, C, N, 1)
+    _check_work(N, _terms(F1, F2, C), MODP_WORK_CAP)
     x0 = _reduce_scalar(alpha[0], p, "alpha")
     y0 = _reduce_scalar(alpha[1], p, "alpha")
     hits = []
@@ -133,20 +143,23 @@ def return_sets_modp(F1: Poly, F2: Poly, alpha: tuple, C: BivarCurve,
     """{p: return_set_modp(F1, F2, alpha, C, p, N)} over the distinct
     primes in ascending order; MODP_WORK_CAP bounds the whole call."""
     primes = sorted(set(primes))
-    _check_modp_work(F1, F2, C, N, len(primes))
+    _check_work(N, _terms(F1, F2, C), MODP_WORK_CAP, len(primes))
     return {p: return_set_modp(F1, F2, alpha, C, p, N) for p in primes}
 
 
-def _check_modp_work(F1: Poly, F2: Poly, C: BivarCurve, N: int,
-                     primes: int):
-    """Refuse more than MODP_WORK_CAP Horner terms: each orbit step mod
-    each prime reduces every coefficient of F1, F2 and C once."""
-    terms = len(F1.coeffs) + len(F2.coeffs) + (C.deg_x + 1) * (C.deg_y + 1)
-    if primes * (N + 1) * terms > MODP_WORK_CAP:
+def _terms(F1: Poly, F2: Poly, C: BivarCurve) -> int:
+    """Horner terms per orbit step: the coefficients of F1, F2 and C."""
+    return len(F1.coeffs) + len(F2.coeffs) + (C.deg_x + 1) * (C.deg_y + 1)
+
+
+def _check_work(N: int, terms: int, cap: int, primes: int = 1):
+    """Refuse, before it starts, a loop whose work passes `cap`: N + 1
+    orbit steps, each reducing `terms` Horner terms once per prime."""
+    if primes * (N + 1) * terms > cap:
         count = "" if primes == 1 else f"{primes} primes*"
         raise ResourceCapError(
             f"N = {N}: {count}(N + 1)*{terms} Horner terms exceeds cap "
-            f"{MODP_WORK_CAP}")
+            f"{cap}")
 
 
 class Progression(Record):

@@ -131,7 +131,22 @@ class Poly(Record):
         return power(self, e, Poly.constant(self.field, 1), mul)
 
     def evaluate(self, v):
-        """Horner evaluation at a scalar."""
+        """Horner evaluation at a scalar.
+
+        Over Q at a rational v = p/q the Horner steps run on integers:
+        with the coefficients A_i/den, acc = A_d and acc = acc*p +
+        A_i*q^(d-i) end at sum A_i*p^i*q^(d-i) = den*q^d*f(v).  Integer
+        sums and products are exact, so the one Fraction built at the
+        end, which reduces by one gcd, is f(v).
+        """
+        if self.field == QQ and type(v) in (int, Fraction) and self.coeffs:
+            A, den = int_vector(self.coeffs)
+            p, q = v.numerator, v.denominator
+            acc, qk = A[-1], 1
+            for c in reversed(A[:-1]):
+                qk *= q
+                acc = acc * p + c * qk
+            return Fraction(acc, den * qk)
         acc = self.field.zero()
         for c in reversed(self.coeffs):
             acc = acc * v + c
@@ -184,30 +199,71 @@ class Poly(Record):
 _set_field, _set_coeffs = slot_setters(Poly)
 
 def compose(f: Poly, g: Poly, degree_cap: int = DEGREE_CAP) -> Poly:
-    """f(g(x)) by Horner in g.
-
-    Over Q the Horner steps run on integer vectors: with f = F/df of
-    degree m and g = G/dg, A_k = A_(k+1)*G + F_k*dg^(m-k) ends at
-    A_0 = df*dg^m*f(g), one Fraction per coefficient.
-    """
+    """f(g(x)) by Horner in g, on the vectors of `_vector` (`_compose_vec`)."""
     if f.field != g.field:
         raise FieldMismatchError("compose over different fields")
-    if f.degree >= 1 and g.degree >= 1 and f.degree * g.degree > degree_cap:
+    if not f:
+        return f
+    return _from_vector(f.field, *_compose_vec(_vector(f), _vector(g),
+                                               degree_cap))
+
+
+def _vector(p: Poly) -> tuple:
+    """(v, den) with the coefficients of p equal to v[i]/den: integers
+    over their least common denominator over Q, the field's own scalars
+    over den = 1 over Q(zeta m)."""
+    return int_vector(p.coeffs) if p.field == QQ else (list(p.coeffs), 1)
+
+
+def _from_vector(field: FieldDescriptor, v: list, den) -> Poly:
+    """The Poly with coefficients v[i]/den, trimmed; v is consumed."""
+    if field == QQ:
+        v = [Fraction(c, den) for c in v]
+    while v and not v[-1]:
+        v.pop()
+    return Poly(field, tuple(v))
+
+
+def _compose_vec(F: tuple, G: tuple, degree_cap: int = DEGREE_CAP) -> tuple:
+    """(A, den) with A/den = f o g, for f = F[0]/F[1] nonzero and
+    g = G[0]/G[1] given as `_vector` pairs.
+
+    Horner in g with the denominator of g carried apart: with f of
+    degree m, A_k = A_(k+1)*G + F_k*dg^(m-k) ends at A_0 =
+    df*dg^m*f(g).  Over Q every step is an integer product (int_mul) and
+    sum, so the pair is exact and no Fraction is built; over Q(zeta m)
+    dg = 1 and the steps are the field's own products.
+    """
+    (F, df), (G, dg) = F, G
+    m, n = len(F) - 1, len(G) - 1
+    if m >= 1 and n >= 1 and m * n > degree_cap:
         raise ResourceCapError(
-            f"compose degree {f.degree * g.degree} exceeds cap {degree_cap}")
-    if f.field == QQ and f:
-        (F, df), (G, dg) = int_vector(f.coeffs), int_vector(g.coeffs)
-        acc, power = [F[-1]], 1
-        for c in reversed(F[:-1]):
-            power *= dg
-            acc = int_mul(acc, G) or [0]
-            acc[0] += c * power
-        den = df * power
-        return Poly.make(QQ, [Fraction(c, den) for c in acc])
-    acc = Poly(f.field, ())
-    for c in reversed(f.coeffs):
-        acc = acc * g + Poly.constant(f.field, c)
-    return acc
+            f"compose degree {m * n} exceeds cap {degree_cap}")
+    zero = F[-1] * 0
+    if n == 1:                          # g linear: two products a term
+        g0, g1 = G
+
+        def mul(a, _):
+            return ([a[0] * g0] + [x * g0 + y * g1 for x, y in zip(a[1:], a)]
+                    + [a[-1] * g1])
+    else:
+        mul = int_mul if type(zero) is int else (
+            lambda a, b: dense_mul(a, b, zero))
+    acc, power = [F[-1]], 1
+    for c in reversed(F[:-1]):
+        power *= dg
+        acc = mul(acc, G) or [zero]
+        acc[0] += c if dg == 1 else c * power
+    return acc, df * power
+
+
+def _same(U: tuple, V: tuple) -> bool:
+    """Whether two `_vector` pairs of one length are equal, by
+    cross-multiplication of the denominators."""
+    (u, du), (v, dv) = U, V
+    if du == dv:
+        return u == v
+    return len(u) == len(v) and all(x * dv == y * du for x, y in zip(u, v))
 
 
 def iterate(f: Poly, m: int, degree_cap: int = DEGREE_CAP) -> Poly:
@@ -300,11 +356,24 @@ class LinearPoly(Record):
 _set_linear_field, _set_a, _set_b = slot_setters(LinearPoly)
 
 def conjugate(ell: LinearPoly, f: Poly) -> Poly:
-    """ell o f o ell^{-1}."""
+    """ell o f o ell^{-1}: one composition f o ell^{-1} on the vectors of
+    `_vector` (`_compose_vec`), then a*(...) + b on its numerators.
+
+    Over Q, with f o ell^{-1} = A/den and ell = (an*x + bn)/d on
+    integers, the conjugate is (an*A + bn*den)/(d*den): integer products
+    and sums only, so it is exact, and it builds one Fraction per
+    coefficient at the end.  Over Q(zeta m) the same two steps run on
+    the field's scalars with every denominator 1.
+    """
     if ell.field != f.field:
         raise FieldMismatchError("conjugate over different fields")
-    inner = compose(f, ell.inverse().to_poly())
-    return compose(ell.to_poly(), inner)
+    if not f:
+        return Poly.constant(f.field, ell.b)
+    A, den = _compose_vec(_vector(f), _vector(ell.inverse().to_poly()))
+    (bn, an), d = _vector(ell.to_poly())
+    A = [an * c for c in A]
+    A[0] += bn * den
+    return _from_vector(f.field, A, d * den)
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple:
@@ -576,9 +645,10 @@ def _rev_trunc(q: Poly, m: int) -> list:
             for i in range(m + 1)]
 
 
-def _rev_compose_trunc(A: Poly, B: Poly, m: int) -> tuple:
+def _rev_compose_trunc(A, B, m: int) -> tuple:
     """(top, den), top[i]/den the x^(deg A*deg B - i) coefficient of A o B
-    for i = 0..m; den = 1 over Q(zeta m).
+    for i = 0..m; A and B are Polys or `_vector` pairs, and den = 1 over
+    Q(zeta m).
 
     rev(A o B) = sum_k A_k rev(B)^k x^((deg A - k) deg B), and only the
     k >= kmin = deg A - m // deg B enter the window.  Over Q the sum runs
@@ -587,16 +657,15 @@ def _rev_compose_trunc(A: Poly, B: Poly, m: int) -> tuple:
     schoolbook product truncated to m + 1 terms, which beats int_mul's
     Kronecker product at these lengths.
     """
-    dA, dB = A.degree, B.degree
+    (a, da), (b, db) = (_vector(p) if isinstance(p, Poly) else p
+                        for p in (A, B))
+    dA, dB = len(a) - 1, len(b) - 1
     kmin = max(0, dA - m // dB)
-    rev = _rev_trunc(B, m)
-    if A.field == QQ:
-        (a, da), (rev, db) = int_vector(A.coeffs), int_vector(rev)
+    zero = a[-1] * 0
+    rev = b[::-1][:m + 1] + [zero] * (m - dB)
+    if db != 1:
         a = {k: a[k] * db ** (dA - k) for k in range(kmin, dA + 1)}
-        one, zero, den = 1, 0, da * db ** dA
-    else:
-        a, one, zero, den = A.coeffs, A.field.one(), A.field.zero(), 1
-    cur = power(rev, kmin, [one] + [zero] * m,
+    cur = power(rev, kmin, [zero + 1] + [zero] * m,
                 lambda u, v: dense_mul(u, v, zero, m))
     out = [zero] * (m + 1)
     for k in range(kmin, dA + 1):
@@ -607,7 +676,7 @@ def _rev_compose_trunc(A: Poly, B: Poly, m: int) -> tuple:
                     out[shift + i] += a[k] * cur[i]
         if k < dA:
             cur = dense_mul(cur, rev, zero, m)
-    return out, den
+    return out, da * db ** dA
 
 
 def series_root(top: list, n: int, terms: int) -> list:
@@ -630,7 +699,8 @@ def series_root(top: list, n: int, terms: int) -> list:
     if type(top[0]) is Fraction:
         top = int_vector(top)[0]
     if type(top[0]) is int:
-        return _int_series_root(top, n, terms)
+        p, step = _int_series_root(top, n, terms)
+        return [Fraction(pk, step ** k) for k, pk in enumerate(p)]
     inv = 1 / top[0]
     top = [q * inv for q in top]
     nonzero = [(i, q) for i, q in enumerate(top[1:], 1) if q]
@@ -648,9 +718,10 @@ def series_root(top: list, n: int, terms: int) -> list:
     return out
 
 
-def _int_series_root(T: list, n: int, terms: int) -> list:
-    """The first `terms` coefficients of Q^(1/n) with P_0 = 1, for
-    Q = T/D, T integers and D = T_0 != 0, which may be negative.
+def _int_series_root(T: list, n: int, terms: int) -> tuple:
+    """(p, step) with P_k = p[k]/step^k the first `terms` coefficients of
+    Q^(1/n) with P_0 = 1, for Q = T/D, T integers and D = T_0 != 0, which
+    may be negative; step = n^2*D.
 
     p_k = (n^2*D)^k*P_k is an integer, and multiplying Miller's
     recurrence by (n^2*D)^k/n gives
@@ -672,7 +743,7 @@ def _int_series_root(T: list, n: int, terms: int) -> list:
         if t:
             nonzero.append((i, t * c))
         c *= n * n * D
-    p, out, scale, step = [1], [Fraction(1)], 1, n * n * D
+    p = [1]
     for k in range(1, terms):
         acc = 0
         for i, t in nonzero:
@@ -686,9 +757,7 @@ def _int_series_root(T: list, n: int, terms: int) -> list:
             raise RuntimeError(f"internal: series_root term {k} is not "
                                "an integer")
         p.append(pk)
-        scale *= step
-        out.append(Fraction(pk, scale))
-    return out
+    return p, n * n * D
 
 
 def _top_root(F: Poly, n: int, terms: int) -> list:

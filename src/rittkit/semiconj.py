@@ -14,9 +14,11 @@ from .conjugacy import classify
 from .decompose import right_factor_solve
 from .errors import (FieldExtensionRequiredError, HypothesisViolationError,
                      ResourceCapError, RittKitError)
-from .field import nth_roots
-from .poly import (LinearPoly, Poly, _rev_compose_trunc, compose, conjugate,
-                   iterate, power_form, power_shape, series_root)
+from .field import int_vector, nth_roots
+from .poly import (LinearPoly, Poly, _compose_vec, _from_vector,
+                   _int_series_root, _rev_compose_trunc, _same, _vector,
+                   compose, conjugate, iterate, power_form, power_shape,
+                   series_root)
 from .record import Record, fresh
 from .roots import in_field_roots
 
@@ -54,8 +56,13 @@ def solve_intertwiner(left: Poly, right: Poly, deg_bound: int) -> list:
     the number of correct top coefficients by delta, so b.bit_length()
     rounds from p = a*x^b fix all of p.  A truncated top-coefficient
     comparison and then a full composition check confirm each candidate.
-    Over Q the tops are integer vectors over one denominator: the root of
-    top/top[0] ignores it, and two tops compare by cross-multiplication.
+
+    Over Q every candidate, top and composition is a pair (integers,
+    denominator) (`poly._vector`): the Newton step reads p off the
+    integer root recurrence (`_newton_step`), and two pairs compare by
+    cross-multiplication (`poly._same`).  Integer sums and products are
+    exact, so both checks decide the same equalities as Fractions would;
+    only the accepted p becomes a Poly.
     """
     if left.degree != right.degree or left.degree < 2:
         raise RittKitError("need equal degrees >= 2")
@@ -64,6 +71,7 @@ def solve_intertwiner(left: Poly, right: Poly, deg_bound: int) -> list:
     field = left.field
     delta = left.degree
     c = left.coeff(delta - 1) / (delta * left.leading())
+    L, R = _vector(left), _vector(right)
     found = []
     blocked = None
     for b in range(1, deg_bound + 1):
@@ -74,23 +82,46 @@ def solve_intertwiner(left: Poly, right: Poly, deg_bound: int) -> list:
             blocked = f"t^{delta - 1} = {target}"
             continue
         for a in leads:
-            cand = Poly.monomial(field, b, a)
+            cand = _vector(Poly.monomial(field, b, a))
             for _ in range(b.bit_length()):
-                top = _rev_compose_trunc(cand, right, b)[0]
-                root = series_root(top, delta, b + 1)
-                cand = Poly.make(field, root[::-1]).scale(a) - c
-            (u, du), (v, dv) = (_rev_compose_trunc(left, cand, m),
-                                _rev_compose_trunc(cand, right, m))
-            if (u != v if du == dv else
-                    any(x * dv != y * du for x, y in zip(u, v))):
+                cand = _newton_step(_rev_compose_trunc(cand, R, b)[0],
+                                    delta, a, c)
+            if not (_same(_rev_compose_trunc(L, cand, m),
+                          _rev_compose_trunc(cand, R, m))
+                    and _same(_compose_vec(L, cand), _compose_vec(cand, R))):
                 continue
-            if compose(left, cand) == compose(cand, right) and cand not in found:
-                found.append(cand)
+            p = _from_vector(field, *cand)
+            if p not in found:
+                found.append(p)
     if not found and blocked is not None:
         raise FieldExtensionRequiredError(
             "a leading-coefficient equation has no in-field root",
             equation=blocked)
     return found
+
+
+def _newton_step(top: list, n: int, a, c) -> tuple:
+    """The `_vector` pair of a*rev(P) - c, P the first len(top) terms of
+    the n-th root series of top/top[0].
+
+    Over Q, top is an integer vector and P_k = p_k/step^k
+    (`poly._int_series_root`); with a = an/d and c = cn/d, the x^j
+    coefficient of a*rev(P) is an*p_(b-j)*step^j/(d*step^b), b =
+    len(top) - 1, so the pair needs no Fraction; it is divided by its
+    content.
+    """
+    b = len(top) - 1
+    if type(top[0]) is not int:
+        v = [a * q for q in reversed(series_root(top, n, b + 1))]
+        v[0] -= c
+        return v, 1
+    p, step = _int_series_root(top, n, b + 1)
+    (an, cn), d = int_vector([a, c])
+    v = [an * pk * step ** j for j, pk in enumerate(reversed(p))]
+    s = step ** b
+    v[0] -= cn * s
+    g = gcd(d * s, *v) if s > 0 else -gcd(d * s, *v)
+    return [x // g for x in v], d * s // g
 
 
 def solve_p(f: Poly, eta: Poly, deg_bound: int) -> list:

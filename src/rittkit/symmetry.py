@@ -78,8 +78,7 @@ def gamma_group(A: Poly) -> LinearGroup:
     g, scales = _unity_scales(F, 1)
     if not g:
         return LinearGroup(kind=INFINITE)
-    v = Poly.make(A.field, [-s, s])
-    pairs = sorted((_scale_maps(A, A, v, a) for a in scales),
+    pairs = sorted((_scale_maps((s, F), (s, F), a) for a in scales),
                    key=lambda p: (not p[0].is_identity(),   # identity first
                                   scalar_sort_key(p[0].a)))
     elements, companions = zip(*pairs)
