@@ -138,10 +138,10 @@ def _scale_polynomial(f: Poly, g: Poly, forms: tuple | None = None):
     return G, Poly.make(f.field, [-s, t])
 
 
-def _scale_maps(centred_f: tuple, centred_g: tuple, u) -> tuple:
+def _scale_maps(centred_f: tuple, centred_g: tuple, u, ud) -> tuple:
     """(L1, M) with f o L1 = M o g, for the centred forms (s, F) of f and
-    (t, H) of g and u a nonzero root of G of `_scale_polynomial` (any u
-    when G is zero).
+    (t, H) of g, u a nonzero root of G of `_scale_polynomial` (any u
+    when G is zero) and ud = u^d, which the caller holds.
 
     L1 = u*x + t*u - s maps -t to -s.  u satisfies every equation of G,
     and F_(d-1) = H_(d-1) = 0, so F(u*x) - F_0 = c*(H - H_0) with
@@ -151,7 +151,7 @@ def _scale_maps(centred_f: tuple, centred_g: tuple, u) -> tuple:
     neither f nor g is evaluated or composed.
     """
     (s, F), (t, H) = centred_f, centred_g
-    c = F.leading() * u ** F.degree / H.leading()
+    c = F.leading() * ud / H.leading()
     return (LinearPoly.make(F.field, u, t * u - s),
             LinearPoly.make(F.field, c, F.constant_term() - s
                             - c * (H.constant_term() - t)))
@@ -174,5 +174,6 @@ def equivalence_witness(f: Poly, g: Poly):
     roots = [f.field.one()] if G.is_zero() else _nonzero_roots(G)
     if not roots:
         return None
-    L1, M = _scale_maps(*forms, min(roots, key=scalar_sort_key))
+    u = min(roots, key=scalar_sort_key)
+    L1, M = _scale_maps(*forms, u, u ** f.degree)
     return L1, M.inverse()

@@ -1,9 +1,9 @@
 """Desk-scale orbit experiments for split maps (x, y) -> (F1(x), F2(y)).
 
 Exact orbits with a bit-size height cap, return sets against a plane
-curve, mod-p return filters (a sound superset of the exact set for every
-good prime), decomposition of index sets into arithmetic progressions,
-and preperiodicity checks with escape certificates.
+curve, mod-p return filters (a sound superset of the exact set at the
+good degree-1 primes of Q or Q(zeta m)), decomposition of index sets into
+arithmetic progressions, and preperiodicity checks with escape certificates.
 """
 
 from __future__ import annotations
@@ -12,18 +12,21 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .bivar import BivarCurve
-from .errors import BadReductionError, ResourceCapError, RittKitError
-from .field import int_horner, is_prime, scalar_abs
+from .errors import (BadReductionError, FieldMismatchError, ResourceCapError,
+                     RittKitError)
+from .field import (int_horner, is_prime, reduce_mod, scalar_abs,
+                    splitting_tables)
 from .poly import Poly
 from .record import Record
 
 DEFAULT_HEIGHT_CAP = 4096
 
-# Largest (N + 1) * (terms of F1, F2 and C) in return_set_modp, and that
-# times the number of distinct primes in return_sets_modp: each orbit step
-# reduces one Horner term per coefficient.  At the cap the slowest shape
-# measured, x^2 with the line y - x (10 terms, N = 99,999), takes about
-# 0.3 s; N = 10^6 took 2.6 s and printed a 7 MB line.
+# Largest phi(m)*(N + phi(m))*(terms of F1, F2 and C) in return_set_modp,
+# and that times the number of distinct primes in return_sets_modp: at each
+# of the phi(m) maps zeta -> w per prime (one over Q) an orbit step reduces
+# one Horner term per coefficient, and the reduction to F_p, phi(m)
+# products per coefficient, counts as phi(m) - 1 more steps.  At the cap,
+# x^2 with the line y - x over Q (10 terms, N = 99,999) takes about 0.3 s.
 MODP_WORK_CAP = 1_000_000
 
 # Largest (N + 1) * (terms of F1 and F2, and of C for return_set_exact)
@@ -61,9 +64,7 @@ def orbit(F1: Poly, F2: Poly, alpha: tuple, N: int,
         raise RittKitError("height_cap must be >= 1")
     _check_work(N, (len(F1.coeffs) + len(F2.coeffs)) * F1.field.degree,
                 ORBIT_WORK_CAP)
-    field = F1.field
-    x0 = field.coerce(alpha[0])
-    y0 = field.coerce(alpha[1])
+    x0, y0 = map(F1.field.coerce, alpha)
     pts = []
     for n in range(N + 1):
         if max(_height_bits(x0), _height_bits(y0)) > height_cap:
@@ -90,52 +91,52 @@ def return_set_exact(F1: Poly, F2: Poly, alpha: tuple, C: BivarCurve,
     return ReturnSet(hits, orb.truncated_at)
 
 
-def _reduce_scalar(v, p: int, what: str) -> int:
-    f = Fraction(v)
-    if f.denominator % p == 0:
-        raise BadReductionError(
-            f"denominator of {what} is divisible by {p}")
-    return f.numerator * pow(f.denominator, -1, p) % p
-
-
-def _reduce_poly(f: Poly, p: int, what: str) -> list:
-    if f.field.kind != "Rationals":
-        raise BadReductionError(
-            "mod-p reduction is only available over the rationals")
-    coeffs = [_reduce_scalar(c, p, f"a coefficient of {what}") for c in f.coeffs]
-    if coeffs and coeffs[-1] == 0:
-        raise BadReductionError(
-            f"leading coefficient of {what} vanishes mod {p} "
-            "(degree not preserved)")
-    return coeffs
+def _reduced(coeffs, p: int, powers, what: str, lead: str = "") -> list:
+    """coeffs at P by `field.reduce_mod`; a map named by `lead` must keep
+    its degree."""
+    out = reduce_mod(coeffs, p, powers)
+    if out is None:
+        raise BadReductionError(f"denominator of {what} is divisible by {p}")
+    if lead and out and not out[-1]:
+        raise BadReductionError(f"leading coefficient of {lead} vanishes "
+                                f"mod {p} (degree not preserved)")
+    return out
 
 
 def return_set_modp(F1: Poly, F2: Poly, alpha: tuple, C: BivarCurve,
                     p: int, N: int) -> tuple:
-    """{n <= N : the orbit lands on C mod p}; a superset of the exact set."""
+    """{n <= N : the orbit lands on C mod every P = (p, zeta - w), w a root
+    of Phi_m mod p = 1 (mod m); P = (p) over Q}.  Reduction at P is a ring
+    map, so this contains the exact set, whatever the order of the roots."""
     if N < 0:
         raise RittKitError("N must be >= 0")
+    field = F1.field
+    if F2.field != field or C.field != field:
+        raise FieldMismatchError("F1, F2 and C must share one field")
+    alpha = list(map(field.coerce, alpha))
     if p == 2 or not is_prime(p):
         raise BadReductionError(f"{p} is not an odd prime")
-    f1 = _reduce_poly(F1, p, "F1")
-    f2 = _reduce_poly(F2, p, "F2")
-    if C.field.kind != "Rationals":
+    m = field.order
+    if m and p % m != 1:
         raise BadReductionError(
-            "mod-p reduction is only available over the rationals")
-    grid = [[_reduce_scalar(C.poly.coeff(i, j), p, "a coefficient of C")
-             for i in range(C.deg_x + 1)] for j in range(C.deg_y + 1)]
-    if all(c == 0 for row in grid for c in row):
-        raise BadReductionError(f"curve polynomial vanishes mod {p}")
-    _check_work(N, _terms(F1, F2, C), MODP_WORK_CAP)
-    x0 = _reduce_scalar(alpha[0], p, "alpha")
-    y0 = _reduce_scalar(alpha[1], p, "alpha")
-    hits = []
-    for n in range(N + 1):
-        if not int_horner([int_horner(row, x0, p) for row in grid], y0, p):
-            hits.append(n)
-        if n < N:
-            x0, y0 = int_horner(f1, x0, p), int_horner(f2, y0, p)
-    return tuple(hits)
+            f"{p} is not 1 mod {m}: {field} does not split completely at it")
+    _check_work(N, _terms(F1, F2, C), MODP_WORK_CAP, maps=field.degree)
+    hits = set(range(N + 1))
+    for powers in splitting_tables(m, p)[0] if m else [(1,)]:
+        f1 = _reduced(F1.coeffs, p, powers, "a coefficient of F1", "F1")
+        f2 = _reduced(F2.coeffs, p, powers, "a coefficient of F2", "F2")
+        rows = [_reduced(r.coeffs, p, powers, "a coefficient of C")
+                for r in C.poly.rows]
+        if not any(map(any, rows)):
+            raise BadReductionError(f"curve polynomial vanishes mod {p}")
+        x0, y0 = _reduced(alpha, p, powers, "alpha")
+        for n in range(N + 1):
+            if n in hits and int_horner(
+                    [int_horner(r, x0, p) for r in rows], y0, p):
+                hits.discard(n)
+            if n < N:
+                x0, y0 = int_horner(f1, x0, p), int_horner(f2, y0, p)
+    return tuple(sorted(hits))
 
 
 def return_sets_modp(F1: Poly, F2: Poly, alpha: tuple, C: BivarCurve,
@@ -143,7 +144,8 @@ def return_sets_modp(F1: Poly, F2: Poly, alpha: tuple, C: BivarCurve,
     """{p: return_set_modp(F1, F2, alpha, C, p, N)} over the distinct
     primes in ascending order; MODP_WORK_CAP bounds the whole call."""
     primes = sorted(set(primes))
-    _check_work(N, _terms(F1, F2, C), MODP_WORK_CAP, len(primes))
+    _check_work(N, _terms(F1, F2, C), MODP_WORK_CAP, len(primes),
+                F1.field.degree)
     return {p: return_set_modp(F1, F2, alpha, C, p, N) for p in primes}
 
 
@@ -152,14 +154,16 @@ def _terms(F1: Poly, F2: Poly, C: BivarCurve) -> int:
     return len(F1.coeffs) + len(F2.coeffs) + (C.deg_x + 1) * (C.deg_y + 1)
 
 
-def _check_work(N: int, terms: int, cap: int, primes: int = 1):
-    """Refuse, before it starts, a loop whose work passes `cap`: N + 1
-    orbit steps, each reducing `terms` Horner terms once per prime."""
-    if primes * (N + 1) * terms > cap:
+def _check_work(N: int, terms: int, cap: int, primes: int = 1,
+                maps: int = 1):
+    """Refuse, before it starts, a loop whose work passes `cap`: per prime,
+    `maps` maps of N + 1 orbit steps of `terms` Horner terms, after a
+    reduction that costs maps - 1 steps more."""
+    if primes * maps * (N + maps) * terms > cap:
         count = "" if primes == 1 else f"{primes} primes*"
         raise ResourceCapError(
-            f"N = {N}: {count}(N + 1)*{terms} Horner terms exceeds cap "
-            f"{cap}")
+            f"N = {N}: {count}(N + {maps})*{maps * terms} Horner terms "
+            f"exceeds cap {cap}")
 
 
 class Progression(Record):

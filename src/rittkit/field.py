@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, zip_longest
+from itertools import accumulate, count, repeat, zip_longest
 from math import gcd, lcm
 from operator import mul
 
@@ -343,7 +343,7 @@ def splitting_tables(m: int, p: int) -> tuple:
     prime to m, in increasing k.
 
     powers[i][j] = w_i^j mod p for j < phi(m), so a coordinate vector
-    takes its value at w_i by one dot product (cyc_reduce).  inverse is
+    takes its value at w_i by one dot product (reduce_mod).  inverse is
     the inverse of that Vandermonde matrix: the vector with the values
     y_i at the w_i has coordinate j = sum_i inverse[j][i]*y_i.  Column i
     of it is the Lagrange polynomial Phi_m/((t - w_i)*Phi_m'(w_i)) mod p,
@@ -374,19 +374,21 @@ def splitting_tables(m: int, p: int) -> tuple:
     return powers, [list(r) for r in zip(*columns)]
 
 
-def cyc_reduce(coeffs, p: int, powers: list) -> list | None:
-    """The images mod p of CycElems at zeta -> w, powers = [w^j mod p]:
-    sum_j nums_j*w^j times den^-1 mod p.  None when p divides a
-    denominator, where the reduction is undefined.  One inverse serves
-    all: den^-1 = (D/den)*D^-1 for D the lcm of the denominators."""
-    D = lcm(*[c.den for c in coeffs])
+def reduce_mod(coeffs, p: int, powers=(1,)) -> list | None:
+    """The images in F_p of ints, Fractions or CycElems at the prime
+    P = (p, zeta - w), powers = [w^j mod p] ((p) and (1,) over Q): each
+    sum_j nums_j*w^j times den^-1, or None when p divides a denominator.
+    One inverse serves all: den^-1 = (D/den)*D^-1, D the lcm of all den."""
+    vecs = [(c.nums, c.den) if type(c) is CycElem
+            else ((c.numerator,), c.denominator) for c in coeffs]
+    D = lcm(*[den for _, den in vecs])
     if D == 1:
-        return [sum(map(mul, c.nums, powers)) % p for c in coeffs]
+        return [sum(map(mul, nums, powers)) % p for nums, _ in vecs]
     if not D % p:
         return None
     inv = pow(D, -1, p)
-    return [sum(map(mul, c.nums, powers)) * (D // c.den) % p * inv % p
-            for c in coeffs]
+    return [sum(map(mul, nums, powers)) * (D // den) % p * inv % p
+            for nums, den in vecs]
 
 
 class FieldDescriptor(Record):
@@ -724,19 +726,20 @@ def signed_join(terms: list) -> str:
 
 @lru_cache(maxsize=None)
 def roots_of_unity(field: FieldDescriptor) -> tuple:
-    """All roots of unity contained in the field, as scalars."""
+    """The M roots of unity of the field as the powers u^j, j < M, of u =
+    -1 over Q, zeta for even m and -zeta for odd m (M = 2, m and 2m)."""
     if field.kind == RATIONALS:
         return (Fraction(1), Fraction(-1))
-    z = field.zeta()
     m = field.order
-    powers = []
-    cur = field.one()
-    for _ in range(m):
-        powers.append(cur)
-        cur = cur * z
-    if m % 2 == 1:
-        powers = powers + [-p for p in powers]
-    return tuple(powers)
+    u = field.zeta() if m % 2 == 0 else -field.zeta()
+    return tuple(accumulate(repeat(u, m * (1 + m % 2) - 1), mul,
+                            initial=field.one()))
+
+
+@lru_cache(maxsize=None)
+def unity_exponents(field: FieldDescriptor) -> dict:
+    """{u^j: j} for the roots of unity u^j of `roots_of_unity(field)`."""
+    return {w: j for j, w in enumerate(roots_of_unity(field))}
 
 
 def _int_nth_root(x: int, n: int):
@@ -779,25 +782,22 @@ def nth_roots(c, n: int, field: FieldDescriptor) -> list:
 
     For n = 1 that is c itself, whatever its form.  Over Q this is
     complete.  Over Q(zeta_m) other roots are not found.  Each r = w*q,
-    q^n = c/w^n exactly, has r^n = w^n*q^n = c, so no root is re-checked.
+    q^n = c/w^n exactly, has r^n = w^n*q^n = c, so no root is re-checked;
+    for w = u^j, c/w^n is c times the root u^(-j*n mod M), no inverse.
     """
     if field.kind == RATIONALS:
         return rational_nth_roots(Fraction(c), n)
     c = field.coerce(c)
     if not c or n == 1:
         return [c]
-    found = []
-    for w in roots_of_unity(field):
-        u = c / (w ** n)
-        ur = u.as_rational()
-        if ur is None:
-            continue
-        for q in rational_nth_roots(ur, n):
-            r = w * q
-            if r not in found:
-                found.append(r)
-    found.sort(key=scalar_sort_key, reverse=True)
-    return found
+    units = roots_of_unity(field)
+    M = len(units)
+    found = set()
+    for j, w in enumerate(units):
+        ur = (c * units[-j * n % M]).as_rational()     # c/w^n
+        if ur is not None:
+            found.update(w * q for q in rational_nth_roots(ur, n))
+    return sorted(found, key=scalar_sort_key, reverse=True)
 
 
 def scalar_abs(v) -> Fraction:

@@ -11,10 +11,11 @@ from math import gcd, isqrt
 from operator import mul
 
 from .errors import FieldMismatchError, ResourceCapError, RittKitError
-from .field import (KRONECKER_MIN_LEN, QQ, CycElem, FieldDescriptor,
-                    cyc_reduce, dense_divmod, dense_mul, int_horner, int_mul,
-                    int_pseudo_divmod, int_vector, power, scalar_str,
-                    signed_join, splitting_primes, splitting_tables)
+from .field import (KRONECKER_MIN_LEN, QQ, CycElem, FieldDescriptor, _trim,
+                    dense_divmod, dense_mul, int_horner, int_mul,
+                    int_pseudo_divmod, int_vector, power, reduce_mod,
+                    scalar_str, signed_join, splitting_primes,
+                    splitting_tables)
 from .record import Record, slot_setters
 
 DEGREE_CAP = 10_000
@@ -219,9 +220,7 @@ def _from_vector(field: FieldDescriptor, v: list, den) -> Poly:
     """The Poly with coefficients v[i]/den, trimmed; v is consumed."""
     if field == QQ:
         v = [Fraction(c, den) for c in v]
-    while v and not v[-1]:
-        v.pop()
-    return Poly(field, tuple(v))
+    return Poly(field, tuple(_trim(v)))
 
 
 def _compose_vec(F: tuple, G: tuple, degree_cap: int = DEGREE_CAP) -> tuple:
@@ -480,8 +479,8 @@ def _cyclotomic_gcd(a: Poly, b: Poly) -> Poly:
         powers, inverse = splitting_tables(m, p)
         images = []                     # the monic gcd at each good map
         for row in powers:
-            ia = cyc_reduce(a.coeffs, p, row)
-            ib = None if ia is None else cyc_reduce(b.coeffs, p, row)
+            ia = reduce_mod(a.coeffs, p, row)
+            ib = None if ia is None else reduce_mod(b.coeffs, p, row)
             if ib is None:              # p divides a denominator
                 break
             if ia[-1] and ib[-1]:
@@ -533,9 +532,7 @@ def _gcd_mod(a: list, b: list, p: int) -> list:
                 for j in range(db):
                     a[k + j] = (a[k + j] - c * b[j]) % p
         del a[db:]
-        while a and not a[-1]:
-            a.pop()
-        a, b = b, a
+        a, b = b, _trim(a)
     return a
 
 

@@ -78,19 +78,17 @@ def _quadratic_roots(F: Poly) -> list:
 
 
 def _unity_scaled_roots(F: Poly) -> list:
-    """Roots q*w with q rational, w a root of unity of the ambient field."""
+    """Roots q*w with q rational, w = u^j a root of unity of the ambient
+    field, whose powers w^i are the roots u^(i*j mod M) (`roots_of_unity`)."""
     field = F.field
-    d = field.degree
+    units = roots_of_unity(field)
+    M = len(units)
     found = []
-    for w in roots_of_unity(field):
+    for j, w in enumerate(units):
         # Coordinates of F(w*t) are rational polynomials sharing any
         # rational root t0; their gcd pins the candidates down.
-        coords = [[Fraction(0)] * len(F.coeffs) for _ in range(d)]
-        wp = field.one()
-        for i, c in enumerate(F.coeffs):
-            for j, cj in enumerate((field.coerce(c) * wp).coeffs):
-                coords[j][i] = cj
-            wp = wp * w
+        coords = zip(*((field.coerce(c) * units[i * j % M]).coeffs
+                       for i, c in enumerate(F.coeffs)))
         g = Poly(QQ, ())
         for vec in coords:
             g = poly_gcd(g, Poly.make(QQ, vec))

@@ -3,12 +3,13 @@
 Gamma(A) collects the linear ell with A o ell = L o A for some linear L;
 M(f^inf) collects the linear maps commuting with some iterate of f.
 Both read their scales off one exponent gcd g of the centred map: they
-are the g-th roots of unity of the field (`_unity_scales`).  For Gamma(A)
+are the g-th roots of unity of the field (`_unity_scales`), held as
+exponents j of u^j (`roots_of_unity`), so a^d = u^(j*d mod M).  For Gamma(A)
 ell = a*x + v(a) and L = A(-s) + a^d*(y - A(-s)) cost no composition
 (`conjugacy._scale_maps`).  `power_normal_form` straightens A to
 x^s P(x^n) with n = |Gamma(A)|, read off the same centred form.
 `m_infinity` and `common_commuting_iterate` build no iterate: they walk
-the scales a -> a^d of the centred map (`_scale_cycles`).
+the scales a -> a^d of the centred map, j -> j*d mod M (`_scale_cycles`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import gcd, lcm
 from .conjugacy import _scale_maps
 from .decompose import equal_degree_linear
 from .errors import HypothesisViolationError, RittKitError
-from .field import roots_of_unity, scalar_sort_key
+from .field import roots_of_unity, scalar_sort_key, unity_exponents
 from .poly import LinearPoly, Poly, centred, compose, power_shape
 from .record import Record
 
@@ -39,26 +40,25 @@ class LinearGroup(Record):
 
 
 def _find_generator(elements) -> LinearPoly | None:
-    """A single element whose composition powers enumerate the group."""
-    n = len(elements)
-    pool = set((e.a, e.b) for e in elements)
-    for cand in elements:
-        seen = set()
-        cur = cand
-        for _ in range(n):
-            seen.add((cur.a, cur.b))
-            cur = cand.after(cur)
-        if seen == pool:
-            return cand
-    return None
+    """The first of the maps a*x + s*(a - 1), one s, whose scale generates
+    them, or None when they form no group.  a -> a*x + s*(a - 1) is a
+    homomorphism, so they form one iff the scales are mu_n, the u^j with
+    M/n | j (`roots_of_unity`), and u^j generates mu_n iff gcd(j, M) = M/n."""
+    exponents = unity_exponents(elements[0].field)
+    M, n = len(exponents), len(elements)
+    js = [exponents.get(e.a) for e in elements]
+    if M % n or set(js) != set(range(0, M, M // n)):
+        return None
+    return next(e for e, j in zip(elements, js) if gcd(j, M) == M // n)
 
 
 def _unity_scales(F: Poly, first: int) -> tuple:
-    """(g, [a in roots_of_unity(K) with a^g = 1]) for g the gcd of the
-    d - i with F_i != 0 and i >= first; g = 0 lets every a pass."""
-    d = F.degree
+    """(g, units, [j < M with (u^j)^g = 1, i.e. M | j*g]) for the units
+    u^j of `roots_of_unity(K)` and g the gcd of the d - i with F_i != 0
+    and i >= first; g = 0 lets every j pass."""
+    d, units = F.degree, roots_of_unity(F.field)
     g = gcd(*(d - i for i, c in enumerate(F.coeffs) if c and i >= first))
-    return g, [a for a in roots_of_unity(F.field) if a ** g == 1]
+    return g, units, [j for j in range(len(units)) if not j * g % len(units)]
 
 
 def gamma_group(A: Poly) -> LinearGroup:
@@ -75,10 +75,12 @@ def gamma_group(A: Poly) -> LinearGroup:
     if A.degree < 2:
         raise RittKitError("symmetry group needs degree >= 2")
     s, F = centred(A)
-    g, scales = _unity_scales(F, 1)
+    g, units, scales = _unity_scales(F, 1)
     if not g:
         return LinearGroup(kind=INFINITE)
-    pairs = sorted((_scale_maps((s, F), (s, F), a) for a in scales),
+    M, d = len(units), F.degree
+    pairs = sorted((_scale_maps((s, F), (s, F), units[j], units[j * d % M])
+                    for j in scales),
                    key=lambda p: (not p[0].is_identity(),   # identity first
                                   scalar_sort_key(p[0].a)))
     elements, companions = zip(*pairs)
@@ -119,7 +121,7 @@ def power_normal_form(A: Poly) -> PowerNormalForm | None:
     if A.degree < 2:
         raise RittKitError("normal form needs degree >= 2")
     t, F = centred(A)
-    g, scales = _unity_scales(F, 1)
+    g, _, scales = _unity_scales(F, 1)
     if not g:
         return None
     fieldK = A.field
@@ -163,14 +165,15 @@ def _scale_cycles(f: Poly, iter_bound: int) -> tuple:
     if iter_bound < 1:
         raise RittKitError("iter_bound must be >= 1")
     s, C = centred(f)
-    d, S = C.degree, _unity_scales(C, 0)[1]
+    _, units, S = _unity_scales(C, 0)
+    d, M = C.degree, len(units)
     cycles = {}
-    for a in S:                         # no cycle inside S is longer than S
-        b, k = a ** d, 1
-        while b != a and k < min(iter_bound, len(S)):
-            b, k = b ** d, k + 1
-        if b == a:
-            cycles[a] = k
+    for j in S:                         # no cycle inside S is longer than S
+        b, k = j * d % M, 1             # (u^j)^d = u^(j*d mod M)
+        while b != j and k < min(iter_bound, len(S)):
+            b, k = b * d % M, k + 1
+        if b == j:
+            cycles[units[j]] = k
     return s, cycles
 
 
@@ -253,13 +256,8 @@ def align_iterates(f: Poly, g: Poly, L: LinearPoly, n: int):
                 "no in-field linear relating the equal-degree factors")
         Ms.append(ell.inverse())
     Ls = [Ms[n - i] for i in range(n + 1)]
-    best = None
-    for j in range(1, n + 1):
-        for i in range(j):
-            if Ls[i].a == Ls[j].a and Ls[i].b == Ls[j].b:
-                if best is None or (j - i, i) < best[:2]:
-                    best = (j - i, i, Ls[i])
+    best = min(((j - i, i) for j in range(1, n + 1) for i in range(j)
+                if Ls[i] == Ls[j]), default=None)
     if best is None:
         raise RittKitError("no collision among the peeled linear maps")
-    N, _, ell = best
-    return ell, N
+    return Ls[best[1]], best[0]

@@ -1,7 +1,8 @@
 """M_inf, the common commuting iterate and f-tilde at degree d.
 
 `m_infinity` and `common_commuting_iterate` walk the scales a -> a^d of
-the centred map among the roots of unity of the field, and
+the centred map among the roots of unity of the field, as exponents of
+one generator, and
 `f_tilde_candidate` returns f without a search when deg f is not a
 perfect power (Ritt's theorem on permutable polynomials).  None of them
 builds an iterate of f there, which the compose wrapper below checks.
@@ -11,9 +12,10 @@ import sys
 
 import pytest
 
-from rittkit import (QQ, HypothesisViolationError, Poly, chebyshev,
+from rittkit import (QQ, CycElem, HypothesisViolationError, Poly, chebyshev,
                      common_commuting_iterate, compose, cyclotomic_field,
-                     f_tilde_candidate, m_infinity, parse_poly)
+                     f_tilde_candidate, gamma_group, m_infinity, nth_roots,
+                     parse_poly)
 from rittkit.field import roots_of_unity
 
 
@@ -78,3 +80,23 @@ def test_f_tilde_needs_a_disintegrated_map():
 def test_f_tilde_searches_perfect_power_degrees():
     g = parse_poly("x^2 + 1", QQ)
     assert f_tilde_candidate(compose(g, g), 2) == g
+
+
+def test_roots_of_unity_are_taken_by_exponent(monkeypatch):
+    # gamma_group, m_infinity and nth_roots index the roots of unity u^j
+    # by j: no CycElem power, and no inverse but of a rational lead
+    def refuse(*args):
+        raise AssertionError("a CycElem power or inverse was taken")
+    monkeypatch.setattr(CycElem, "__pow__", refuse)
+    monkeypatch.setattr(CycElem, "_sequence_inverse", refuse)
+    K = cyclotomic_field(105)
+    f = parse_poly("x^211 + x", K)
+    grp = gamma_group(f)
+    assert grp.order() == 210
+    assert m_infinity(f).order() == 210
+    assert grp.generator.a * grp.generator.a != K.one()
+    K9 = cyclotomic_field(9)
+    z = K9.zeta()
+    assert nth_roots(z, 3, K9) == []
+    roots = nth_roots(z * z * z, 3, K9)
+    assert len(roots) == 3 and all(r * r * r == z * z * z for r in roots)
