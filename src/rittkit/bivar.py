@@ -9,11 +9,13 @@ is exact by its degree bound, a gcd by exact division of both inputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import accumulate
+from math import gcd, lcm
+from operator import mul
 
 from .errors import FieldMismatchError, RittKitError
-from .field import (QQ, FieldDescriptor, dense_mul, int_pseudo_divmod,
-                    int_vector, signed_join)
+from .field import (QQ, FieldDescriptor, as_rational, dense_mul,
+                    int_pseudo_divmod, int_vector, int_vectors, signed_join)
 from .poly import Poly, exact_div, poly_divmod, poly_gcd, squarefree_part
 from .record import Record, slot_setters
 
@@ -26,27 +28,37 @@ def lagrange_interpolate(field: FieldDescriptor, points) -> Poly:
 
 
 def interpolate_columns(field: FieldDescriptor, ts, columns) -> list:
-    """The Poly through (ts[i], column[i]) for each column, distinct ts.
+    """The Poly through (ts[i], column[i]) for each column, distinct
+    rational ts = T/Q: P(x) = P~(Q*x), P~ through the integer nodes T.
 
-    Newton's divided-difference form.  The basis products
-    prod_{i<k} (x - t_i) and every 1/(t_j - t_i) are built once for the
-    point set, so a column costs products only.
+    Newton's divided differences on integer vectors: level k sits over
+    the product of the lcms l_j of the gaps T[i+j] - T[i], j <= k, and
+    the basis products prod_{i<k} (x - T_i) are integer lists, both built
+    once for the point set; a column builds one scalar per coefficient.
     """
-    ts = [field.coerce(t) for t in ts]
-    zero, one = field.zero(), field.one()
-    inv = [[one / (ts[i + k] - ts[i]) for i in range(len(ts) - k)]
-           for k in range(1, len(ts) + 1)]
-    basis = [[one]]
-    for t in ts[:-1]:
-        basis.append(dense_mul(basis[-1], [-t, one], zero))
+    T, Q = int_vector([as_rational(t) for t in ts])
+    n = len(T)
+    gaps = [[T[i + k] - T[i] for i in range(n - k)] for k in range(1, n)]
+    dens = list(accumulate((lcm(*g) for g in gaps), mul, initial=1))
+    basis = [[1]] if n else []
+    for t in T[:-1]:
+        basis.append(dense_mul(basis[-1], [-t, 1], 0))
     out = []
     for col in columns:
-        diffs, coeffs = [field.coerce(v) for v in col], [zero] * len(ts)
-        for b, w in zip(basis, inv):
+        diffs, den = int_vectors([field.coerce(v) for v in col])
+        coeffs = [[0] * field.degree for _ in range(n)]
+        for k, b in enumerate(basis):
+            top = dens[-1] // dens[k]
             for i, c in enumerate(b):
-                coeffs[i] += diffs[0] * c
-            diffs = [(diffs[i + 1] - diffs[i]) * wi for i, wi in enumerate(w)]
-        out.append(Poly.make(field, coeffs))
+                coeffs[i] = [u + x * c * top for u, x in zip(coeffs[i],
+                                                              diffs[0])]
+            if k < n - 1:
+                lk = dens[k + 1] // dens[k]
+                diffs = [[(y - x) * (lk // g) for x, y in zip(u, v)]
+                         for u, v, g in zip(diffs, diffs[1:], gaps[k])]
+        out.append(Poly.make(field, [
+            field.from_ints([x * Q ** i for x in c], den * dens[-1])
+            for i, c in enumerate(coeffs)]))
     return out
 
 

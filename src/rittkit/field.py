@@ -51,8 +51,8 @@ def dense_mul(a, b, zero, top=None) -> list:
 
     With top given, only the terms of degree 0..top are computed.  Rational
     lists (zero a Fraction) are multiplied as integer vectors over their
-    denominators (int_mul), whatever their length; the rest by schoolbook,
-    skipping zero terms.
+    denominators (int_mul), whatever their length, cyclotomic ones as
+    integer vectors by one ring_dot a term; the rest by schoolbook.
     """
     if top is not None:
         a, b = a[:top + 1], b[:top + 1]
@@ -62,6 +62,11 @@ def dense_mul(a, b, zero, top=None) -> list:
         den = da * db
         out = [Fraction(c, den) for c in int_mul(ia, ib)[:n]]
         return out + [zero] * (n - len(out))
+    if type(zero) is CycElem:
+        (va, da), (vb, db) = int_vectors(a), int_vectors(b)
+        return [zero.field.from_ints(ring_dot(
+            va[max(0, k - len(vb) + 1):], vb[min(k, len(vb) - 1)::-1],
+            zero.field.order), da * db) for k in range(n)]
     out = [zero] * max(n, 0)
     terms = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
@@ -79,6 +84,16 @@ def int_vector(coeffs) -> tuple:
     # tuple on CPython 3.11.
     den = lcm(*[c.denominator for c in coeffs])
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def int_vectors(coeffs) -> tuple:
+    """(vecs, den) with coeffs[i] == vecs[i]/den coordinatewise, den the
+    lcm of the denominators: one integer per coordinate of a CycElem, one
+    for an int or a Fraction."""
+    pairs = [(c.nums, c.den) if type(c) is CycElem
+             else ((c.numerator,), c.denominator) for c in coeffs]
+    den = lcm(*[d for _, d in pairs])
+    return [[x * (den // d) for x in nums] for nums, d in pairs], den
 
 
 def int_mul(a, b) -> list:
@@ -246,12 +261,41 @@ def cyclotomic_polynomial(m: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _phi_table(m: int) -> tuple:
+def _phi_table(m) -> tuple:
     """(phi(m), ((i, -c_i) for the nonzero c_i, i < phi(m), of Phi_m)):
-    t^phi(m) == sum of -c_i*t^i modulo Phi_m."""
-    phi = cyclotomic_polynomial(m)
+    t^phi(m) == sum of -c_i*t^i modulo Phi_m; Q (m None) is Q(zeta 1)."""
+    phi = cyclotomic_polynomial(m or 1)
     d = len(phi) - 1
     return d, tuple((i, -c) for i, c in enumerate(phi[:d]) if c)
+
+
+def phi_reduce(nums: list, m) -> list:
+    """An integer list reduced modulo Phi_m in place, to <= phi(m) terms:
+    modulo t^m - 1 (t^k folds onto t^(k - m)), then top down by _phi_table
+    (t^k = t^(k - phi(m))*t^phi(m), one step for prime m); Q has m None."""
+    d, table = _phi_table(m)
+    if len(nums) > d:
+        for k in range(len(nums) - 1, m - 1, -1):
+            nums[k - m] += nums.pop()
+        for k in range(len(nums) - 1, d - 1, -1):
+            c = nums.pop()
+            if c:
+                for i, e in table:
+                    nums[k - d + i] += c * e
+    return nums
+
+
+def ring_dot(xs, ys, m, start=()) -> list:
+    """start + sum of x*y over pairs of integer vectors from xs and ys in
+    Z[t]/Phi_m (Z over Q), phi(m) integers: one sum, one phi_reduce."""
+    d = _phi_table(m)[0]
+    acc = [*start] + [0] * (2 * d - 1 - len(start))
+    for x, y in zip(xs, ys):
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y, i):
+                    acc[j] += a * b
+    return phi_reduce(acc, m)
 
 
 def euler_phi(m: int) -> int:
@@ -336,7 +380,12 @@ def splitting_primes(m: int):
         yield primes[k]
 
 
-@lru_cache(maxsize=None)
+# Most (m, p) pairs whose splitting_tables stay cached: a table holds about
+# 2*phi(m)^2 residues (4 MB at phi(m) = 240); a gcd reads its first few.
+SPLITTING_TABLES_CACHED = 8
+
+
+@lru_cache(maxsize=SPLITTING_TABLES_CACHED)
 def splitting_tables(m: int, p: int) -> tuple:
     """(powers, inverse) for a prime p = 1 (mod m) and the phi(m) roots
     w_i of Phi_m mod p, taken as w^k for one w of order m and each k < m
@@ -439,6 +488,12 @@ class FieldDescriptor(Record):
     def one(self):
         return self.coerce(1)
 
+    def from_ints(self, nums: list, den: int):
+        """The scalar nums/den, den > 0, from a fresh integer list."""
+        if self.kind == RATIONALS:
+            return Fraction(nums[0], den)
+        return CycElem._make(self, nums, den)
+
     def zeta(self):
         if self.kind == RATIONALS:
             raise RittKitError("Q has no cyclotomic generator")
@@ -496,24 +551,10 @@ class CycElem:
     @classmethod
     def _make(cls, field, nums, den):
         """Canonical element nums/den from a fresh list nums of any length,
-        reduced modulo Phi_m in place: first modulo t^m - 1, which Phi_m
-        divides, by folding t^k onto t^(k - m), then top down from
-        _phi_table, each t^k with k >= phi(m) becoming t^(k - phi(m))
-        times the low terms of t^phi(m).  For prime m, a product of two
-        reduced vectors takes one step of the second kind.
-        """
-        m = field.order
-        d, table = _phi_table(m)
-        n = len(nums)
-        if n > d:
-            for k in range(n - 1, m - 1, -1):
-                nums[k - m] += nums.pop()
-            for k in range(len(nums) - 1, d - 1, -1):
-                c = nums.pop()
-                if c:
-                    base = k - d
-                    for i, e in table:
-                        nums[base + i] += c * e
+        reduced modulo Phi_m in place by phi_reduce."""
+        d = _phi_table(field.order)[0]
+        if len(nums) > d:
+            phi_reduce(nums, field.order)
         g = gcd(den, *nums)
         if g != 1:
             nums, den = [n // g for n in nums], den // g

@@ -20,7 +20,8 @@ from .decompose import _is_indecomposable, left_factor_solve
 from .errors import (CollapsedImageError, HypothesisViolationError,
                      FieldExtensionRequiredError, ResourceCapError,
                      RittKitError)
-from .field import _int_nth_root, scalar_sort_key
+from .field import (_int_nth_root, int_vectors, power, ring_dot,
+                    scalar_sort_key)
 from .poly import Poly, compose
 from .record import Record
 from .semiconj import solve_intertwiner
@@ -38,32 +39,39 @@ def _x_minus(h: Poly) -> BivarPoly:
 def _univar_image(h: Poly, f: Poly, powers: list[Poly]) -> Poly:
     """R(u) = Res_t(h(t), u - f(t)) = lc(h)^d * prod (u - f(a)) over the
     roots a of h, d = deg f (Poisson's formula), by power sums (Bostan,
-    Flajolet, Salvy and Schost 2006).
+    Flajolet, Salvy and Schost 2006) on integer vectors (`ring_dot`).
 
-    Newton's recurrence on the monic h gives the power sums s_j of its
-    roots, j <= n*d, n = deg h; P_k = sum_j [t^j] f^k * s_j sums f(a)^k,
-    and Newton's identities turn P_1..P_n into the monic polynomial with
-    the roots f(a), dividing by integers k <= n only.  powers starts
-    [f, f^2, ..., f^n].
+    With h = H/D, f = F/E and 1/lc(H) = L/c, Newton's recurrence gives
+    the power sums c^j*s_j, j <= n*d, of the roots c*a of t^n + sum_i
+    c^(i-1)*H_(n-i)*L*t^(n-i); P_k = sum_j [t^j] F^k*c^j*s_j*c^(kd-j) is
+    c^(kd)*E^k*sum f(a)^k, and Newton's identities give c^(kd)*E^k times
+    q_k, the u^(n-k) coefficient of prod (u - f(a)).  Both are algebraic
+    integers, so /k is exact, and so is /c^(kd) of lc(H)^d times them:
+    over E^k*D^d, R's coefficients.  powers starts [f, ..., f^n].
     """
-    field, n, lead = h.field, h.degree, h.leading()
-    scale = lead ** f.degree
-    if n == 0:
-        return Poly.constant(field, scale)
-    inv = 1 / lead
-    e = [a * inv for a in reversed(h.coeffs)]   # e[i]: t^(n-i) of monic h
-    s = [field.coerce(n)]
-    for j in range(1, n * f.degree + 1):
-        head = j * e[j] if j <= n else field.zero()
-        s.append(-sum((e[i] * s[j - i] for i in range(1, min(j, n + 1))
-                       if e[i]), head))
-    P = [sum((a * b for a, b in zip(fk.coeffs, s) if a), field.zero())
-         for fk in powers[:n]]
-    q = [field.one()]                          # q[k]: u^(n-k) of R/scale
-    for k in range(1, n + 1):
-        q.append(-sum((q[i] * P[k - i - 1] for i in range(1, k)),
-                      P[k - 1]) / k)
-    return Poly.make(field, [scale * a for a in reversed(q)])
+    field, n, d, m = h.field, h.degree, f.degree, h.field.order
+    H, D = int_vectors(h.coeffs)
+    Hd = power(H[-1], d, [1] + [0] * (field.degree - 1),
+               lambda a, b: ring_dot([a], [b], m))
+    [L], c = int_vectors([1 / field.from_ints(list(H[-1]), 1)])
+    cp = list(accumulate([c] * (n * d), mul, initial=1))
+    e = [None] + [[-x * cp[i - 1] for x in ring_dot([H[n - i]], [L], m)]
+                  for i in range(1, n + 1)]          # -c^(i-1)*H_(n-i)*L
+    s = [[n] + [0] * (field.degree - 1)]             # c^j*s_j
+    for j in range(1, n * d + 1):
+        top = min(j - 1, n)
+        s.append(ring_dot(e[1:top + 1], s[j - 1:j - top - 1:-1], m,
+                          [j * x for x in e[j]] if j <= n else ()))
+    W = [[x * cp[n * d - j] for x in v] for j, v in enumerate(s)]
+    E, P, q = int_vectors(f.coeffs)[1], [None], [None]
+    for k, fk in enumerate(powers[:n], 1):
+        vecs, den = int_vectors(fk.coeffs)                # F^k = E^k*f^k
+        P.append([x * (E ** k // den) // cp[(n - k) * d]
+                  for x in ring_dot(vecs, W, m)])
+        q.append([-x // k for x in ring_dot(q[1:k], P[k - 1:0:-1], m, P[k])])
+    return Poly.make(field, [field.from_ints(
+        [x // cp[k * d] for x in ring_dot([Hd], [q[k]], m)] if k else Hd,
+        E ** k * D ** d) for k in range(n, -1, -1)])
 
 
 def _push_x(G: BivarPoly, f: Poly) -> BivarPoly:
@@ -71,9 +79,9 @@ def _push_x(G: BivarPoly, f: Poly) -> BivarPoly:
 
     The leading x-coefficient of u - f(x) is the constant -lc(f), so the
     resultant is c * prod_{f(a) = u} G(a, y) with no extraneous factor,
-    and it specializes exactly at every y0 where G keeps its x-degree,
-    each by one _univar_image.  The row variable swaps, so a second push
-    eliminates y.
+    and it specializes exactly at every y0 where G keeps its x-degree:
+    one _univar_image on integer vectors per y0, one interpolate_columns
+    for all.  The row variable swaps, so a second push eliminates y.
     """
     field = G.field
     Gt = G.transpose()

@@ -12,10 +12,10 @@ from operator import mul
 
 from .errors import FieldMismatchError, ResourceCapError, RittKitError
 from .field import (KRONECKER_MIN_LEN, QQ, CycElem, FieldDescriptor, _trim,
-                    dense_divmod, dense_mul, int_horner, int_mul,
-                    int_pseudo_divmod, int_vector, power, reduce_mod,
-                    scalar_str, signed_join, splitting_primes,
-                    splitting_tables)
+                    as_rational, dense_divmod, dense_mul, int_horner,
+                    int_mul, int_pseudo_divmod, int_vector, int_vectors,
+                    power, reduce_mod, scalar_str, signed_join,
+                    splitting_primes, splitting_tables)
 from .record import Record, slot_setters
 
 DEGREE_CAP = 10_000
@@ -134,24 +134,23 @@ class Poly(Record):
     def evaluate(self, v):
         """Horner evaluation at a scalar.
 
-        Over Q at a rational v = p/q the Horner steps run on integers:
-        with the coefficients A_i/den, acc = A_d and acc = acc*p +
-        A_i*q^(d-i) end at sum A_i*p^i*q^(d-i) = den*q^d*f(v).  Integer
-        sums and products are exact, so the one Fraction built at the
-        end, which reduces by one gcd, is f(v).
+        At a rational v = p/q the steps run on the integer vectors A_i/den
+        of the coefficients: acc = A_d, acc = acc*p + A_i*q^(d-i) ends at
+        den*q^d*f(v), and the one scalar built then is f(v).  Any other
+        point takes the field's own products.
         """
-        if self.field == QQ and type(v) in (int, Fraction) and self.coeffs:
-            A, den = int_vector(self.coeffs)
-            p, q = v.numerator, v.denominator
-            acc, qk = A[-1], 1
-            for c in reversed(A[:-1]):
-                qk *= q
-                acc = acc * p + c * qk
-            return Fraction(acc, den * qk)
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        r = as_rational(v)
+        if r is None or not self.coeffs:
+            acc = self.field.zero()
+            for c in reversed(self.coeffs):
+                acc = acc * v + c
+            return acc
+        A, den = int_vectors(self.coeffs)
+        acc, qk, p, q = A[-1], 1, r.numerator, r.denominator
+        for c in reversed(A[:-1]):
+            qk *= q
+            acc = [a * p + x * qk for a, x in zip(acc, c)]
+        return self.field.from_ints(acc, den * qk)
 
     def derivative(self) -> "Poly":
         return Poly.make(self.field,
