@@ -206,10 +206,16 @@ class BivarPoly(Record):
         return self.eval_x(x0).evaluate(y0)
 
     def transpose(self) -> "BivarPoly":
-        dx = self.deg_x
-        grid = [[self.coeff(i, j) for j in range(len(self.rows))]
-                for i in range(dx + 1)]
-        return BivarPoly.make(self.field, grid)
+        """The rows by the power of x, read off the rows' coefficient
+        tuples, each trimmed, with one shared zero for the gaps."""
+        rows, zero = [r.coeffs for r in self.rows], self.field.zero()
+        out = []
+        for i in range(max(map(len, rows), default=0)):
+            col = [r[i] if i < len(r) else zero for r in rows]
+            while col and not col[-1]:
+                col.pop()
+            out.append(Poly(self.field, tuple(col)))
+        return BivarPoly(self.field, tuple(out))
 
     def derivative_y(self) -> "BivarPoly":
         return BivarPoly.make(self.field,
@@ -371,6 +377,8 @@ def _gcd_cofactor(G: BivarPoly, H: BivarPoly) -> tuple:
     else:
         raise RittKitError("no bivariate gcd candidate passed its division")
     lead = prim.rows[-1].leading()
+    if lead == 1:
+        return prim, cof
     return prim.scale(field.one() / lead), cof.scale(lead)
 
 
@@ -399,7 +407,8 @@ def bivar_squarefree(G: BivarPoly) -> BivarPoly:
     The x-only and y-only contents (vertical and horizontal lines) are
     split off and made squarefree as univariate polynomials, so bivar_gcd
     only sees a part with no line factor: a pushed line can carry a
-    multiplicity as high as the map's degree.
+    multiplicity as high as the map's degree.  Constant contents are 1,
+    and the lines are multiplied back only when one of them is not.
     """
     if G.is_zero():
         return G
@@ -408,6 +417,8 @@ def bivar_squarefree(G: BivarPoly) -> BivarPoly:
     prim = Gt.transpose()
     if prim.deg_y >= 1:
         prim = _gcd_cofactor(prim, prim.derivative_y())[1]
+    if cx.degree < 1 and cy.degree < 1:
+        return prim
     lines = (BivarPoly.from_univar(squarefree_part(cx), "x")
              * BivarPoly.from_univar(squarefree_part(cy), "y"))
     return lines * prim
@@ -420,17 +431,13 @@ class BivarCurve(Record):
 
     @staticmethod
     def make(poly: BivarPoly) -> "BivarCurve":
+        """The curve of poly scaled so that its first nonzero coefficient,
+        by the power of y and then of x, is 1; poly itself if it is."""
         if poly.is_zero():
             raise ValueError("curve needs a nonzero defining polynomial")
-        lead = None
-        for j in range(len(poly.rows)):
-            for i in range(poly.rows[j].degree + 1):
-                c = poly.coeff(i, j)
-                if c:
-                    lead = c
-                    break
-            if lead is not None:
-                break
+        lead = next(c for r in poly.rows for c in r.coeffs if c)
+        if lead == 1:
+            return BivarCurve(poly.field, poly)
         return BivarCurve(poly.field, poly.scale(poly.field.one() / lead))
 
     @property

@@ -116,12 +116,45 @@ class ConstantExpr(Record):
         return min(LOG2_SATURATION, e_lo * alo), e_hi * ahi
 
     def normalized(self) -> "ConstantExpr":
-        """Re-run constructor simplification bottom-up."""
-        if self.kind == INT:
-            return self
-        return _KINDS[self.kind][0](*(c.normalized() for c in self.children))
+        """Re-run constructor simplification bottom-up, once per node: the
+        result shares its nodes as the term does."""
+        return self if self.kind == INT else self._normalized
+
+    @cached_property
+    def _normalized(self) -> "ConstantExpr":
+        return _KINDS[self.kind][0](*(c if c.kind == INT else c._normalized
+                                      for c in self.children))
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.kind, self.value, self.children))
+
+    def __eq__(self, other):
+        """Structural equality, each pair of nodes compared once: shared
+        nodes are not walked again, and a node that is the other node or
+        hashes apart from it ends its branch at once."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        seen, stack = set(), [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if (hash(a) != hash(b) or a.kind != b.kind or a.value != b.value
+                    or len(a.children) != len(b.children)):
+                return False
+            seen.add((id(a), id(b)))
+            stack.extend(zip(a.children, b.children))
+        return True
 
     def __str__(self):
+        """The printed form of the tree expansion, so its length and time
+        grow with the output, not with the shared nodes: the c1(d,k) of
+        `bound_c1` print about 2^k nodes.  The CLI prints by label
+        (`text`)."""
         return self.text({})
 
     def text(self, labels: dict) -> str:

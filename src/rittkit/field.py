@@ -247,6 +247,17 @@ def int_horner(ints: list, v: int, mod: int = 0) -> int:
     return acc
 
 
+def vector_horner(vecs: list, p: int, q: int = 1) -> tuple:
+    """(acc, q^k) with acc/q^k the value at p/q of sum_i vecs[i]*x^i, for
+    k = len(vecs) - 1 >= 0 integer vectors: acc = vecs[k], then
+    acc = acc*p + vecs[i]*q^(k-i) from i = k - 1 down."""
+    acc, qk = vecs[-1], 1
+    for c in reversed(vecs[:-1]):
+        qk *= q
+        acc = [a * p + x * qk for a, x in zip(acc, c)]
+    return acc, qk
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple:
     """Integer coefficients (ascending) of the m-th cyclotomic polynomial."""
@@ -296,6 +307,28 @@ def ring_dot(xs, ys, m, start=()) -> list:
                 for j, b in enumerate(y, i):
                     acc[j] += a * b
     return phi_reduce(acc, m)
+
+
+def int_inverses(field, vecs) -> list:
+    """(L, c) with 1/a = L/c, c > 0 and gcd(c, *L) == 1, for each of one
+    or more nonzero integer vectors a of the field (one integer over Q).
+
+    Simultaneous inversion (Montgomery 1987): the prefix products
+    a_0*...*a_k by `ring_dot`, one general inverse R/e of their total,
+    then from the top down 1/a_k = (a_0*...*a_(k-1))*R/e and R = R*a_k.
+    Each L/e is reduced by its gcd, so the pairs are the canonical ones.
+    """
+    m = field.order
+    prefix = list(accumulate(vecs, lambda a, b: ring_dot([a], [b], m)))
+    [R], e = int_vectors([1 / field.from_ints(list(prefix[-1]), 1)])
+    out = []
+    for k in range(len(vecs) - 1, -1, -1):
+        L = ring_dot([prefix[k - 1]], [R], m) if k else R
+        if k:
+            R = ring_dot([R], [vecs[k]], m)
+        g = gcd(e, *L)
+        out.append(([x // g for x in L], e // g))
+    return out[::-1]
 
 
 def euler_phi(m: int) -> int:

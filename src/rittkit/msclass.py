@@ -20,8 +20,8 @@ from .decompose import _is_indecomposable, left_factor_solve
 from .errors import (CollapsedImageError, HypothesisViolationError,
                      FieldExtensionRequiredError, ResourceCapError,
                      RittKitError)
-from .field import (_int_nth_root, int_vectors, power, ring_dot,
-                    scalar_sort_key)
+from .field import (_int_nth_root, as_rational, int_inverses, int_vectors,
+                    power, ring_dot, scalar_sort_key, vector_horner)
 from .poly import Poly, compose
 from .record import Record
 from .semiconj import solve_intertwiner
@@ -36,7 +36,7 @@ def _x_minus(h: Poly) -> BivarPoly:
             - BivarPoly.from_univar(h, "y"))
 
 
-def _univar_image(h: Poly, f: Poly, powers: list[Poly]) -> Poly:
+def _univar_image(h, f: Poly, powers: list, lead_inverse=None) -> Poly:
     """R(u) = Res_t(h(t), u - f(t)) = lc(h)^d * prod (u - f(a)) over the
     roots a of h, d = deg f (Poisson's formula), by power sums (Bostan,
     Flajolet, Salvy and Schost 2006) on integer vectors (`ring_dot`).
@@ -48,12 +48,19 @@ def _univar_image(h: Poly, f: Poly, powers: list[Poly]) -> Poly:
     q_k, the u^(n-k) coefficient of prod (u - f(a)).  Both are algebraic
     integers, so /k is exact, and so is /c^(kd) of lc(H)^d times them:
     over E^k*D^d, R's coefficients.  powers starts [f, ..., f^n].
+
+    h is a Poly or its integer vectors (H, D), each power a Poly or its
+    `int_vectors` pair, and lead_inverse, when given, the pair (L, c):
+    `_push_x` converts them once a push and passes those.
     """
-    field, n, d, m = h.field, h.degree, f.degree, h.field.order
-    H, D = int_vectors(h.coeffs)
+    field, d, m = f.field, f.degree, f.field.order
+    H, D = int_vectors(h.coeffs) if isinstance(h, Poly) else h
+    n = len(H) - 1
+    powers = [int_vectors(p.coeffs) if isinstance(p, Poly) else p
+              for p in powers[:n]]
+    L, c = lead_inverse or int_inverses(field, [H[-1]])[0]
     Hd = power(H[-1], d, [1] + [0] * (field.degree - 1),
                lambda a, b: ring_dot([a], [b], m))
-    [L], c = int_vectors([1 / field.from_ints(list(H[-1]), 1)])
     cp = list(accumulate([c] * (n * d), mul, initial=1))
     e = [None] + [[-x * cp[i - 1] for x in ring_dot([H[n - i]], [L], m)]
                   for i in range(1, n + 1)]          # -c^(i-1)*H_(n-i)*L
@@ -63,9 +70,8 @@ def _univar_image(h: Poly, f: Poly, powers: list[Poly]) -> Poly:
         s.append(ring_dot(e[1:top + 1], s[j - 1:j - top - 1:-1], m,
                           [j * x for x in e[j]] if j <= n else ()))
     W = [[x * cp[n * d - j] for x in v] for j, v in enumerate(s)]
-    E, P, q = int_vectors(f.coeffs)[1], [None], [None]
-    for k, fk in enumerate(powers[:n], 1):
-        vecs, den = int_vectors(fk.coeffs)                # F^k = E^k*f^k
+    E, P, q = powers[0][1] if n else 1, [None], [None]  # powers[0]: f = F/E
+    for k, (vecs, den) in enumerate(powers, 1):       # F^k = E^k*f^k
         P.append([x * (E ** k // den) // cp[(n - k) * d]
                   for x in ring_dot(vecs, W, m)])
         q.append([-x // k for x in ring_dot(q[1:k], P[k - 1:0:-1], m, P[k])])
@@ -81,15 +87,25 @@ def _push_x(G: BivarPoly, f: Poly) -> BivarPoly:
     resultant is c * prod_{f(a) = u} G(a, y) with no extraneous factor,
     and it specializes exactly at every y0 where G keeps its x-degree:
     one _univar_image on integer vectors per y0, one interpolate_columns
-    for all.  The row variable swaps, so a second push eliminates y.
+    for all.  The rows of G^T and f, ..., f^n become integer vectors once,
+    each sample h = G^T(y0) is their integer Horner over one denominator
+    D, and `int_inverses` gives every 1/lc(h) from one general inverse.
+    The row variable swaps, so a second push eliminates y.
     """
     field = G.field
     Gt = G.transpose()
-    lead = Gt.rows[-1]
+    zero = [0] * field.degree
+    flat, D = int_vectors([c for r in Gt.rows for c in r.coeffs])
+    it = iter(flat)
+    rows = [[next(it) for _ in r.coeffs] or [zero] for r in Gt.rows]
     ys = list(_sample_points(field, G.deg_y * f.degree + 1,
-                             lambda y0: not lead.evaluate(y0)))
-    powers = list(accumulate([f] * G.deg_x, mul))
-    slices = [_univar_image(Gt.eval_x(y0), f, powers) for y0 in ys]
+                             lambda y0: not Gt.rows[-1].evaluate(y0)))
+    hs = [[vector_horner(r, as_rational(y0).numerator)[0] for r in rows]
+          for y0 in ys]
+    powers = [int_vectors(p.coeffs)
+              for p in accumulate([f] * G.deg_x, mul)]
+    slices = [_univar_image((H, D), f, powers, inv) for H, inv in
+              zip(hs, int_inverses(field, [H[-1] for H in hs]))]
     return BivarPoly.make(field, interpolate_columns(
         field, ys, [[S.coeff(k) for S in slices]
                     for k in range(G.deg_x + 1)]))

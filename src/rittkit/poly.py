@@ -15,7 +15,7 @@ from .field import (KRONECKER_MIN_LEN, QQ, CycElem, FieldDescriptor, _trim,
                     as_rational, dense_divmod, dense_mul, int_horner,
                     int_mul, int_pseudo_divmod, int_vector, int_vectors,
                     power, reduce_mod, scalar_str, signed_join,
-                    splitting_primes, splitting_tables)
+                    splitting_primes, splitting_tables, vector_horner)
 from .record import Record, slot_setters
 
 DEGREE_CAP = 10_000
@@ -146,10 +146,7 @@ class Poly(Record):
                 acc = acc * v + c
             return acc
         A, den = int_vectors(self.coeffs)
-        acc, qk, p, q = A[-1], 1, r.numerator, r.denominator
-        for c in reversed(A[:-1]):
-            qk *= q
-            acc = [a * p + x * qk for a, x in zip(acc, c)]
+        acc, qk = vector_horner(A, r.numerator, r.denominator)
         return self.field.from_ints(acc, den * qk)
 
     def derivative(self) -> "Poly":
