@@ -23,8 +23,7 @@ from .field import (QQ, CycElem, FieldDescriptor, cyclotomic_field,
                     nth_roots, roots_of_unity)
 from .msclass import (DiagonalCurve, PeriodCertificate, curve_image,
                       curve_period, f_tilde_candidate, graph_curve,
-                      ms_diagonal_curves, periodic_graph_search,
-                      projection_profile)
+                      ms_diagonal_curves, periodic_graph_search)
 from .parser import parse_bivar, parse_curve, parse_field, parse_poly
 from .poly import (LinearPoly, Poly, chebyshev, compose, conjugate, iterate,
                    poly_divmod, poly_gcd)

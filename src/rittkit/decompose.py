@@ -3,12 +3,13 @@
 Right/left factor solvers, complete decomposition chains, the
 gcd-degree common-factor refinement for a o b = c o d, and the
 splitting of x^s P(x)^n compositions.  Right factors are read off one
-power-series root of F's top coefficients (poly.series_root), left
+power-series root of F's top coefficients (poly._root_candidate), left
 factors off the h-adic digits of F (field.dense_digits).  A full
 composition verifies each right factor; the digits are their own proof.
-Over Q both kernels run on integers: the root by one integer recurrence
-with a proven denominator, the digits by one chain of integer
-pseudo-divisions over one running denominator.
+Both kernels take and give `poly._vector` pairs, and over Q they run on
+integers: the root by one integer recurrence with a proven denominator,
+the digits by one chain of integer pseudo-divisions over one running
+denominator.  A Poly is built only for an answer.
 The Engstrom refinement and the equal-degree linear map need only
 normalized right factors and left factors, which Engstrom's theorem
 and the uniqueness of normalized right factors put in the field: they
@@ -22,8 +23,8 @@ from math import gcd
 from .errors import (FieldExtensionRequiredError, HypothesisViolationError,
                      ResourceCapError, RittKitError)
 from .field import dense_digits, nth_roots, scalar_sort_key
-from .poly import (LinearPoly, Poly, _compose_vec, _same, _top_root, _vector,
-                   compose, power_form)
+from .poly import (LinearPoly, Poly, _compose_vec, _from_vector,
+                   _root_candidate, _same, _vector, compose, power_form)
 from .record import Record
 
 DECOMP_DEGREE_CAP = 64
@@ -42,10 +43,11 @@ def right_factor_solve(F: Poly, g: Poly) -> list:
 
     The top e+1 coefficients of g o h are those of g_m*(h + c)^m with
     c = g_(m-1)/(m*g_m), so each lead a with a^m = lc(F)/g_m gives the one
-    candidate h = a*rev(P) - c, P the monic m-th root series of F's top.
-    The check g o h == F composes on integer vectors over Q
-    (`poly._compose_vec`) and compares the two (integers, denominator)
-    pairs by cross-multiplication: exact, with no Fraction built.
+    candidate h = a*rev(P) - c, P the monic m-th root series of F's top
+    (`poly._root_candidate`).  The check g o h == F composes on integer
+    vectors over Q (`poly._compose_vec`) and compares the two (integers,
+    denominator) pairs by cross-multiplication: exact, with no Fraction
+    built until a candidate passes.
     """
     if g.degree < 1:
         raise RittKitError("left factor must be nonconstant")
@@ -55,14 +57,16 @@ def right_factor_solve(F: Poly, g: Poly) -> list:
     m, e = g.degree, F.degree // g.degree
     leads = _lead_roots(F.leading() / g.leading(), m, field,
                         "leading coefficient equation has no in-field root")
-    root = Poly.make(field, _top_root(F, m, e + 1)[::-1])
     c = g.coeff(m - 1) / (m * g.leading())
     G, target = _vector(g), _vector(F)
+    top = target[0][::-1][:e + 1]
     out = []
     for a in leads:
-        cand = root.scale(a) - c
-        if _same(_compose_vec(G, _vector(cand)), target) and cand not in out:
-            out.append(cand)
+        cand = _root_candidate(top, m, a, c)
+        if _same(_compose_vec(G, cand), target):
+            h = _from_vector(field, *cand)
+            if h not in out:
+                out.append(h)
     return out
 
 
@@ -81,10 +85,8 @@ def left_factor_solve(F: Poly, h: Poly) -> Poly | None:
     if F.degree < 1 or F.degree % h.degree:
         return None
     F._check(h)
-    digits = dense_digits(F.coeffs, h.coeffs)
-    if digits is None:
-        return None
-    return Poly.make(F.field, digits)
+    digits = dense_digits(_vector(F), _vector(h))
+    return None if digits is None else Poly.make(F.field, digits)
 
 
 def normalized_right_factor(F: Poly, e: int) -> tuple | None:
@@ -95,12 +97,13 @@ def normalized_right_factor(F: Poly, e: int) -> tuple | None:
     """
     if F.degree < 2 or e < 1 or F.degree % e:
         return None
-    root = _top_root(F, F.degree // e, e)
-    hp = Poly.make(F.field, [0] + root[::-1])
-    g = left_factor_solve(F, hp)
-    if g is None:
+    A = _vector(F)
+    v, den = _root_candidate(A[0][::-1][:e], F.degree // e, 1, 0)
+    H = [v[0] * 0] + v, den
+    digits = dense_digits(A, H)
+    if digits is None:
         return None
-    return g, hp
+    return Poly.make(F.field, digits), _from_vector(F.field, *H)
 
 
 class DecompositionChain(Record):

@@ -163,23 +163,23 @@ def dense_digits(a, b) -> list | None:
     a = d_0 + d_1*b + ... + d_e*b^e with e = deg a / deg b (deg b >= 1
     divides deg a) and every d_j a scalar, read off the remainders of the
     repeated division by b (von zur Gathen 1990); the first remainder that
-    is not constant ends the search.  Over Q the chain runs on integers:
-    with b = B/den_b, a = sum G_j*B^j for G_j = d_j/den_b^j, and each
-    int_pseudo_divmod step f*A = A'*B + r keeps one running denominator,
-    so each digit is one Fraction at the end.
+    is not constant ends the search.  a and b are (vector, denominator)
+    pairs, as `poly._vector` gives them.  Over Q the chain runs on their
+    integers: with b = B/den_b, a = sum G_j*B^j for G_j = d_j/den_b^j, and
+    each int_pseudo_divmod step f*A = A'*B + r keeps one running
+    denominator, so each digit is one Fraction at the end.  Over Q(zeta m)
+    both denominators are 1 and the field's own long division runs.
     """
-    db = len(b) - 1
-    e = (len(a) - 1) // db
-    if type(b[-1]) is not Fraction:
+    (A, den), (B, den_b) = a, b
+    e = (len(A) - 1) // (len(B) - 1)
+    if type(B[-1]) is not int:
         digits = []
         for _ in range(e):
-            a, r = dense_divmod(a, b)
+            A, r = dense_divmod(A, B)
             if any(r[1:]):
                 return None
             digits.append(r[0])
-        return digits + [a[0]]
-    A, den = int_vector(a)
-    B, den_b = int_vector(b)
+        return digits + [A[0]]
     nums = []
     for _ in range(e):
         f, A, r = int_pseudo_divmod(A, B)
@@ -674,11 +674,15 @@ class CycElem:
         return power(self, e, self.field.one(), mul)
 
     def inverse(self):
-        """1/self: den/n for a rational n/den, else _sequence_inverse."""
+        """1/self: den/n for a rational n/den, u^(M - j) for a root of
+        unity u^j (`roots_of_unity`), else _sequence_inverse."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
         if any(self.nums[1:]):
-            return self._sequence_inverse()
+            j = unity_exponents(self.field).get(self)
+            if j is None:
+                return self._sequence_inverse()
+            return roots_of_unity(self.field)[-j]
         n = self.nums[0]
         return CycElem._make(self.field, [-self.den if n < 0 else self.den],
                              abs(n))

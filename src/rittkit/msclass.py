@@ -142,10 +142,10 @@ def curve_image(C: BivarCurve, f: Poly, g: Poly) -> BivarCurve:
     graph = _graph_image(C.poly.transpose(), g, f)
     if graph is not None:
         return BivarCurve.make(graph.transpose())
-    total = bivar_squarefree(_push_x(_push_x(C.poly, f), g))
-    if total.deg_x < 1 and total.deg_y < 1:
+    image = BivarCurve.make(bivar_squarefree(_push_x(_push_x(C.poly, f), g)))
+    if image.x_constant() and image.y_constant():
         raise CollapsedImageError("image is not a curve")
-    return BivarCurve.make(total)
+    return image
 
 
 class PeriodCertificate(Record):
@@ -189,11 +189,6 @@ def curve_period(C: BivarCurve, f: Poly, g: Poly, N_max: int,
                 or nxt.deg_y > C.deg_y * g.degree ** remaining):
             return None
     return None
-
-
-def projection_profile(C: BivarCurve) -> dict:
-    """Whether each coordinate projection of the curve is constant."""
-    return {"x_constant": C.x_constant(), "y_constant": C.y_constant()}
 
 
 def graph_curve(h: Poly, orientation: str = "y") -> BivarCurve:

@@ -1,7 +1,10 @@
 """Dense univariate polynomials over an exact field, plus linear maps.
 
 Coefficients ascend by degree and the leading coefficient is nonzero;
-the zero polynomial has an empty coefficient tuple.
+the zero polynomial has an empty coefficient tuple.  The kernels under
+compose and the top-coefficient solves take `_vector` pairs, integers
+over one denominator over Q; `_root_candidate` is the one routine that
+turns a root series of top coefficients into a candidate factor.
 """
 
 from __future__ import annotations
@@ -632,16 +635,9 @@ def power_shape(f: Poly) -> tuple | None:
 
 # -- truncated reversed series: the top coefficients of powers and compositions
 
-def _rev_trunc(q: Poly, m: int) -> list:
-    d = q.degree
-    return [q.coeff(d - i) if d - i >= 0 else q.field.zero()
-            for i in range(m + 1)]
-
-
 def _rev_compose_trunc(A, B, m: int) -> tuple:
     """(top, den), top[i]/den the x^(deg A*deg B - i) coefficient of A o B
-    for i = 0..m; A and B are Polys or `_vector` pairs, and den = 1 over
-    Q(zeta m).
+    for i = 0..m; A and B are `_vector` pairs, and den = 1 over Q(zeta m).
 
     rev(A o B) = sum_k A_k rev(B)^k x^((deg A - k) deg B), and only the
     k >= kmin = deg A - m // deg B enter the window.  Over Q the sum runs
@@ -650,8 +646,7 @@ def _rev_compose_trunc(A, B, m: int) -> tuple:
     schoolbook product truncated to m + 1 terms, which beats int_mul's
     Kronecker product at these lengths.
     """
-    (a, da), (b, db) = (_vector(p) if isinstance(p, Poly) else p
-                        for p in (A, B))
+    (a, da), (b, db) = A, B
     dA, dB = len(a) - 1, len(b) - 1
     kmin = max(0, dA - m // dB)
     zero = a[-1] * 0
@@ -753,21 +748,37 @@ def _int_series_root(T: list, n: int, terms: int) -> tuple:
     return p, n * n * D
 
 
-def _top_root(F: Poly, n: int, terms: int) -> list:
-    """The first `terms` coefficients of (rev(F)/lc(F))^(1/n).
+def _root_candidate(top: list, n: int, a, c) -> tuple:
+    """The `_vector` pair of a*rev(P) - c, P the first len(top) terms of
+    the n-th root series of top/top[0]: right factors, n-th roots and
+    intertwiner Newton steps all read their candidates off it.
 
-    Highest first, they are the top coefficients of the monic h whose
-    n-th power agrees with F/lc(F) in its top `terms` coefficients.
+    Over Q, top is an integer vector and P_k = p_k/step^k
+    (`_int_series_root`); with a = an/d and c = cn/d, the x^j coefficient
+    of a*rev(P) is an*p_(b-j)*step^j/(d*step^b), b = len(top) - 1, so the
+    pair needs no Fraction; it is divided by its content.  Over
+    Q(zeta m), top holds the field's scalars and the denominator is 1.
     """
-    return series_root(_rev_trunc(F, terms - 1), n, terms)
+    b = len(top) - 1
+    if type(top[0]) is not int:
+        v = [a * q for q in reversed(series_root(top, n, b + 1))]
+        v[0] -= c
+        return v, 1
+    p, step = _int_series_root(top, n, b + 1)
+    (an, cn), d = int_vector([a, c])
+    v = [an * pk * step ** j for j, pk in enumerate(reversed(p))]
+    s = step ** b
+    v[0] -= cn * s
+    g = gcd(d * s, *v) if s > 0 else -gcd(d * s, *v)
+    return [x // g for x in v], d * s // g
 
 
 def poly_nth_root(F: Poly, n: int, lead_root) -> Poly | None:
     """The h with h^n = F and leading coefficient lead_root, if it exists."""
     if F.is_zero() or F.degree % n:
         return None
-    e = F.degree // n
-    cand = Poly.make(F.field, _top_root(F, n, e + 1)[::-1]).scale(lead_root)
+    top = _vector(F)[0][::-1][:F.degree // n + 1]
+    cand = _from_vector(F.field, *_root_candidate(top, n, lead_root, 0))
     return cand if cand ** n == F else None
 
 

@@ -1,8 +1,9 @@
 """Semiconjugacy: checking, solving, normal forms, common semiconjugates.
 
 The central relation is f o p = p o eta.  The solvers are coefficient
-recursions that are exact and complete over Q; the common-semiconjugate
-search is bounded and certificate producing, never a decision procedure.
+recursions on `poly._root_candidate`, exact and complete over Q; the
+common-semiconjugate search is bounded and certificate producing, never
+a decision procedure.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from .conjugacy import classify
 from .decompose import right_factor_solve
 from .errors import (FieldExtensionRequiredError, HypothesisViolationError,
                      ResourceCapError, RittKitError)
-from .field import int_vector, nth_roots
+from .field import nth_roots
 from .poly import (LinearPoly, Poly, _compose_vec, _from_vector,
-                   _int_series_root, _rev_compose_trunc, _same, _vector,
-                   compose, conjugate, iterate, power_form, power_shape,
-                   series_root)
+                   _rev_compose_trunc, _root_candidate, _same, _vector,
+                   compose, conjugate, iterate, power_form, power_shape)
 from .record import Record, fresh
 from .roots import in_field_roots
 
@@ -52,15 +52,15 @@ def solve_intertwiner(left: Poly, right: Poly, deg_bound: int) -> list:
     (delta*lc(left)), left o p and lc(left)*(p + c)^delta agree in their
     top b + 1 coefficients, so p + c is a times the delta-th root of the
     top of p o right over its lead.  Reading p off that root
-    (poly.series_root) and recomputing the top of p o right multiplies
+    (poly._root_candidate) and recomputing the top of p o right multiplies
     the number of correct top coefficients by delta, so b.bit_length()
     rounds from p = a*x^b fix all of p.  A truncated top-coefficient
     comparison and then a full composition check confirm each candidate.
 
     Over Q every candidate, top and composition is a pair (integers,
     denominator) (`poly._vector`): the Newton step reads p off the
-    integer root recurrence (`_newton_step`), and two pairs compare by
-    cross-multiplication (`poly._same`).  Integer sums and products are
+    integer root recurrence, and two pairs compare by cross-multiplication
+    (`poly._same`).  Integer sums and products are
     exact, so both checks decide the same equalities as Fractions would;
     only the accepted p becomes a Poly.
     """
@@ -84,8 +84,8 @@ def solve_intertwiner(left: Poly, right: Poly, deg_bound: int) -> list:
         for a in leads:
             cand = _vector(Poly.monomial(field, b, a))
             for _ in range(b.bit_length()):
-                cand = _newton_step(_rev_compose_trunc(cand, R, b)[0],
-                                    delta, a, c)
+                cand = _root_candidate(_rev_compose_trunc(cand, R, b)[0],
+                                       delta, a, c)
             if not (_same(_rev_compose_trunc(L, cand, m),
                           _rev_compose_trunc(cand, R, m))
                     and _same(_compose_vec(L, cand), _compose_vec(cand, R))):
@@ -98,30 +98,6 @@ def solve_intertwiner(left: Poly, right: Poly, deg_bound: int) -> list:
             "a leading-coefficient equation has no in-field root",
             equation=blocked)
     return found
-
-
-def _newton_step(top: list, n: int, a, c) -> tuple:
-    """The `_vector` pair of a*rev(P) - c, P the first len(top) terms of
-    the n-th root series of top/top[0].
-
-    Over Q, top is an integer vector and P_k = p_k/step^k
-    (`poly._int_series_root`); with a = an/d and c = cn/d, the x^j
-    coefficient of a*rev(P) is an*p_(b-j)*step^j/(d*step^b), b =
-    len(top) - 1, so the pair needs no Fraction; it is divided by its
-    content.
-    """
-    b = len(top) - 1
-    if type(top[0]) is not int:
-        v = [a * q for q in reversed(series_root(top, n, b + 1))]
-        v[0] -= c
-        return v, 1
-    p, step = _int_series_root(top, n, b + 1)
-    (an, cn), d = int_vector([a, c])
-    v = [an * pk * step ** j for j, pk in enumerate(reversed(p))]
-    s = step ** b
-    v[0] -= cn * s
-    g = gcd(d * s, *v) if s > 0 else -gcd(d * s, *v)
-    return [x // g for x in v], d * s // g
 
 
 def solve_p(f: Poly, eta: Poly, deg_bound: int) -> list:

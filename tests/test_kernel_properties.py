@@ -17,7 +17,7 @@ import rittkit
 from rittkit import QQ, CycElem, Poly, compose, cyclotomic_field, poly_gcd
 from rittkit.field import (KRONECKER_MIN_LEN, cyclotomic_polynomial, dense_mul,
                           euler_phi, int_pseudo_divmod)
-from rittkit.poly import _rev_compose_trunc, _rev_trunc, poly_divmod
+from rittkit.poly import _rev_compose_trunc, _vector, poly_divmod
 from rittkit.roots import rational_roots
 
 KERNEL = settings(derandomize=True, max_examples=40, deadline=None,
@@ -255,6 +255,13 @@ def wide_polys(draw, min_degree, max_degree):
     return Poly.make(QQ, coeffs + [draw(wide_q.filter(bool))])
 
 
+def _rev_trunc(q: Poly, m: int) -> list:
+    """The top m + 1 coefficients of q, highest first, zero-padded."""
+    d = q.degree
+    return [q.coeff(d - i) if d - i >= 0 else q.field.zero()
+            for i in range(m + 1)]
+
+
 @KERNEL
 @given(data=st.data(), K=st.sampled_from([QQ, QQ, QQ, cyclotomic_field(5)]))
 def test_rev_compose_trunc_is_top_of_compose(data, K):
@@ -267,7 +274,7 @@ def test_rev_compose_trunc_is_top_of_compose(data, K):
     dA, dB = A.degree, B.degree
     m = data.draw(st.sampled_from([0, dB - 1, dA * dB, dA * dB + 3])
                   | st.integers(0, 12))
-    top, den = _rev_compose_trunc(A, B, m)
+    top, den = _rev_compose_trunc(_vector(A), _vector(B), m)
     assert den and len(top) == m + 1
     assert top == [c * den for c in _rev_trunc(compose(A, B), m)]
 

@@ -1,6 +1,6 @@
 """The top-coefficient kernels over Q and two shortcuts over Q(zeta m).
 
-`_top_root` and `series_root` read roots off top coefficients, over Q as
+`_root_candidate` and `series_root` read roots off top coefficients, over Q as
 integer vectors whose common denominator cancels; `solve_intertwiner`,
 `solve_eta` and `complete_decompositions` are built on them and pinned on
 the benchmark's `ritt_q` inputs.  A rational `CycElem` inverts in closed
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import rittkit as rk
 from rittkit import QQ, CycElem, Poly, cyclotomic_field, poly_gcd
 from rittkit.bivar import _row_gcd
-from rittkit.poly import _top_root, series_root
+from rittkit.poly import _from_vector, _root_candidate, _vector, series_root
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -53,15 +53,17 @@ def polys(draw, K, min_degree, max_degree):
 @PROPS
 @given(data=st.data(), K=fields, n=st.integers(2, 4))
 def test_top_root_reads_a_planted_root(data, K, n):
-    """F = c*h^n + (terms below the window): _top_root gives the top of
-    the monic h, whatever the sign and size of c."""
+    """F = c*h^n + (terms below the window): _root_candidate gives the
+    top of the monic h, whatever the sign and size of c."""
     h = data.draw(polys(K, 1, 4))
     terms = data.draw(st.integers(1, h.degree + 1))
     c = data.draw(scalars(K).filter(bool))
     below = n * h.degree - terms
     tail = data.draw(polys(K, 0, below)) if below >= 0 else Poly(K, ())
     F = (h ** n).scale(c) + tail
-    assert _top_root(F, n, terms) == list(h.monic().coeffs[::-1][:terms])
+    top = _vector(F)[0][::-1][:terms]
+    root = _from_vector(K, *_root_candidate(top, n, 1, 0))
+    assert list(root.coeffs[::-1]) == list(h.monic().coeffs[::-1][:terms])
 
 
 @PROPS
